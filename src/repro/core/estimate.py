@@ -23,30 +23,30 @@ from pyspark.sql import functions as F
 from ..graphs.alldense import all_densest
 from ..graphs.cliques import list_cliques
 from ..graphs.graph import relabel
-from ..graphs.patterns import PATTERNS, enumerate_instances, instance_pattern_edges
+from ..graphs.patterns import enumerate_instances, instance_pattern_edges
 from .sampling import sample_block
 from .uncertain import UncertainGraph
 
 
 def _induced_density(
-    edges: np.ndarray, notion: str, U: frozenset[int]
+    edges: np.ndarray, notion: str, member: np.ndarray
 ) -> Fraction:
-    """Density of the subgraph induced by U in a deterministic graph."""
-    if not U:
-        return Fraction(0)
-    keep = np.array(
-        [int(u) in U and int(v) in U for u, v in edges], dtype=bool
-    ) if len(edges) else np.zeros(0, dtype=bool)
-    sub = edges[keep] if len(edges) else edges
+    """Density of the subgraph induced by the nodes ``member`` marks.
+
+    ``member`` is a boolean mask over node ids marking a non-empty set U;
+    it must cover every node id of ``edges``.
+    """
+    sub = edges[member[edges[:, 0]] & member[edges[:, 1]]]
+    size = int(np.count_nonzero(member))
     if notion == "edge":
-        return Fraction(len(sub), len(U))
+        return Fraction(len(sub), size)
     ce, ids = relabel(sub)
     n = len(ids)
     if notion.startswith("clique:"):
         cnt = len(list_cliques(ce, n, int(notion.split(":")[1])))
     else:
         cnt = len(enumerate_instances(ce, n, notion))
-    return Fraction(cnt, len(U))
+    return Fraction(cnt, size)
 
 
 def estimate_set_probs(
@@ -60,11 +60,18 @@ def estimate_set_probs(
 ) -> pd.DataFrame:
     """τ̂ and γ̂ for each candidate set; rows indexed by candidate order."""
     sc = spark.sparkContext
-    bc = sc.broadcast((ug.edges, ug.probs, [set(c) for c in candidates]))
+    bc = ug.broadcast(sc)
+    cands = [frozenset(int(v) for v in c) for c in candidates]
+    n_ids = max([ug.n, *(max(U) + 1 for U in cands if U)])
     n_part = min(theta, sc.defaultParallelism * 2)
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        edges, probs, cands = bc.value
+        edges, probs = bc.value
+        members = []
+        for U in cands:
+            member = np.zeros(n_ids, dtype=bool)
+            member[list(U)] = True
+            members.append(member)
         for pdf in batches:
             ids = pdf["id"].to_numpy()
             if len(ids) == 0:
@@ -81,11 +88,9 @@ def estimate_set_probs(
                     if not U:  # empty baseline set (e.g. empty truss)
                         rows.append((ci, 0.0, 0.0))
                         continue
-                    dens = _induced_density(we, notion, frozenset(U))
+                    dens = _induced_density(we, notion, members[ci])
                     is_ds = int(res.rho > 0 and dens == res.rho)
-                    contained = int(
-                        bool(res.max_sized) and U <= set(res.max_sized)
-                    )
+                    contained = int(bool(res.max_sized) and U <= res.max_sized)
                     rows.append((ci, is_ds * w, contained * w))
             yield pd.DataFrame(
                 rows, columns=["cand_id", "tau_w", "gamma_w"]

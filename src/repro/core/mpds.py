@@ -50,7 +50,7 @@ def world_results_df(
 ) -> DataFrame:
     """Per-world densest-subgraph rows for θ sampled worlds (see module doc)."""
     sc = spark.sparkContext
-    bc = sc.broadcast((ug.edges, ug.probs))
+    bc = ug.broadcast(sc)
     if n_partitions is None:
         n_partitions = min(theta, sc.defaultParallelism * 2)
 

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+from pyspark import SparkContext
+from pyspark.broadcast import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from ..graphs.graph import canonical_edges
@@ -23,6 +25,9 @@ class UncertainGraph:
     probs: np.ndarray
     n: int
     meta: dict = field(default_factory=dict)
+    _broadcast: tuple[SparkContext, Broadcast] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         order = np.lexsort((self.edges[:, 1], self.edges[:, 0]))
@@ -54,6 +59,20 @@ class UncertainGraph:
         if n is None:
             n = int(e.max()) + 1 if len(e) else 0
         return cls(e, p, n, meta or {})
+
+    def broadcast(self, sc: SparkContext) -> Broadcast:
+        """``(edges, probs)`` as a broadcast variable of ``sc``, made once per context.
+
+        Every query on this graph reuses it: a broadcast keeps its chunks
+        in the driver JVM's heap until the context stops, so one broadcast
+        per query would grow the heap with every query. A process has one
+        live context at a time, so only the latest is remembered, and a new
+        context gets a new broadcast. ``edges`` and ``probs`` must not be
+        changed in place after the first call.
+        """
+        if self._broadcast is None or self._broadcast[0] is not sc:
+            self._broadcast = (sc, sc.broadcast((self.edges, self.probs)))
+        return self._broadcast[1]
 
     def to_df(self, spark: SparkSession) -> DataFrame:
         """Edge table (u, v, p) as a Spark DataFrame (for SQL-side ops)."""

@@ -20,19 +20,20 @@ SCCs without enumeration, so NDS never truncates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cliques import clique_degrees, list_cliques, sub_cliques
+from .cliques import list_cliques, sub_cliques
 from .goldberg import (
     build_clique_network,
     build_edge_network,
     build_pattern_network,
     goldberg_search,
 )
-from .graph import canonical_edges, degrees, induced_edge_count, relabel
+from .graph import canonical_edges, induced_edge_count, relabel
 from .kcore import k_core_nodes
 from .patterns import PATTERNS, enumerate_instances, group_instances
 from .peeling import charikar_peel, instance_core, instance_peel
@@ -49,7 +50,6 @@ class DensestResult:
     n_densest: int  # number enumerated (== len(subgraphs))
     truncated: bool = False
     core_nodes: int = 0  # pruned-core size (complexity reporting)
-    extras: dict = field(default_factory=dict)
 
 
 def _enumerate_from_residual(
@@ -138,26 +138,26 @@ def all_densest_edge(
     ce, ids = relabel(e)
     n = len(ids)
     rho_tilde, peel_set = charikar_peel(ce, n)
-    core = k_core_nodes(ce, n, int(np.ceil(rho_tilde)))
-    core_set = set(int(v) for v in core)
-    keep = np.array([u in core_set and v in core_set for u, v in ce])
-    ce2, ids2 = relabel(ce[keep])
+    k = math.ceil(rho_tilde)
+    # Every densest subgraph has minimum degree ≥ ρ* ≥ ρ̃, so it lies in
+    # the ⌈ρ̃⌉-core, which is therefore never empty.
+    in_core = np.zeros(n, dtype=bool)
+    in_core[k_core_nodes(ce, n, k)] = True
+    ce2, ids2 = relabel(ce[in_core[ce[:, 0]] & in_core[ce[:, 1]]])
     n2 = len(ids2)
-    if n2 == 0:  # degenerate: peel found a single edge graph etc.
-        ce2, ids2, n2 = ce, ids, n
-        ids2 = np.arange(n, dtype=np.int64)
-    id2_set_density_edges = ce2
 
     def density_of(S: set[int]) -> Fraction:
-        return Fraction(induced_edge_count(id2_set_density_edges, S), len(S))
+        return Fraction(induced_edge_count(ce2, S), len(S))
 
-    # Map peel witness into the core labelling when possible.
-    old_of_new = ids2  # position → old compact id
-    new_of_old = {int(o): i for i, o in enumerate(old_of_new)}
-    witness = {new_of_old[v] for v in peel_set if v in new_of_old}
-    if not witness or density_of(witness) < rho_tilde:
-        # peel set survived pruning by construction; fall back defensively
-        witness = set(range(n2))
+    # A batched peel may keep nodes of degree < ρ̃ outside the core.
+    # Dropping such a node only raises the density, so the peel set's own
+    # ⌈ρ̃⌉-core is a witness of density ≥ ρ̃ inside the core.
+    peel = np.fromiter(peel_set, dtype=np.int64, count=len(peel_set))
+    if not in_core[peel].all():
+        in_peel = np.zeros(n, dtype=bool)
+        in_peel[peel] = True
+        peel = k_core_nodes(ce[in_peel[ce[:, 0]] & in_peel[ce[:, 1]]], n, k)
+    witness = set(np.searchsorted(ids2, peel).tolist())
     lo = density_of(witness)
 
     def builder(alpha: Fraction):
@@ -168,7 +168,7 @@ def all_densest_edge(
     # Exact enumeration at α = ρ*.
     net, s, t, vid, _total = builder(rho)
     net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[old_of_new[i]]) for i in range(n2)}
+    vid_of = {vid[i]: int(ids[ids2[i]]) for i in range(n2)}
     subs, union_nodes, truncated = _enumerate_from_residual(
         net, s, t, vid_of, max_enum
     )

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cliques import list_cliques
-from .graph import canonical_edges, degrees, nodes_of, relabel
+from .graph import canonical_edges, relabel
 from .patterns import enumerate_instances
-from .peeling import charikar_peel, instance_core, instance_peel
+from .peeling import instance_peel
 
 
 @dataclass

@@ -1,7 +1,11 @@
 """k-core computation and degeneracy-style peeling on compact graphs.
 
-These run per sampled possible world inside Spark tasks, so they are
-written for small-to-medium graphs with numpy degree bookkeeping.
+These run per sampled possible world inside Spark tasks. ``k_core_nodes``
+peels in rounds: one ``np.bincount`` gives every degree over the
+surviving edges, every node below k goes at once, and the rounds stop
+when no node is left below k. The k-core is unique (the largest node set
+of minimum degree ≥ k), so removing in rounds rather than one node at a
+time yields the same set.
 """
 from __future__ import annotations
 
@@ -14,24 +18,14 @@ def k_core_nodes(edges: np.ndarray, n: int, k: int) -> np.ndarray:
     """Node ids (compact) of the k-core; empty array if none survive."""
     if k <= 0:
         return np.arange(n, dtype=np.int64)
-    deg = degrees(edges, n)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    alive = deg > 0  # isolated nodes are never in a k-core for k >= 1
-    queue = [v for v in range(n) if alive[v] and deg[v] < k]
-    for v in queue:
-        alive[v] = False
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < k:
-                    alive[w] = False
-                    queue.append(w)
-    return np.flatnonzero(alive).astype(np.int64)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    while True:
+        # Isolated nodes (degree 0) are never in a k-core for k >= 1.
+        alive = np.bincount(e.ravel(), minlength=n) >= k
+        keep = alive[e[:, 0]] & alive[e[:, 1]]
+        if keep.all():
+            return np.flatnonzero(alive).astype(np.int64)
+        e = e[keep]
 
 
 def core_numbers(edges: np.ndarray, n: int) -> np.ndarray:

@@ -9,13 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro import datasets
+from repro.core.sampling import sample_block
 from repro.graphs.alldense import (
     all_densest,
     all_densest_clique,
     all_densest_edge,
     all_densest_pattern,
 )
-from repro.graphs.bruteforce import brute_all_densest
+from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest_edge
 from repro.graphs.graph import canonical_edges
 
 NOTIONS = ["edge", "clique:3", "clique:4", "2-star", "3-star", "c3-star", "diamond"]
@@ -161,3 +163,25 @@ def test_paper_example4_shape():
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({A, B, C, D}), frozenset({B, C, D})
     }
+
+
+@pytest.mark.parametrize(
+    "dataset, method, theta",
+    [
+        ("karate_club", "mc", 200),
+        ("intel_lab", "mc", 200),
+        # An unpruned search on a ~10 000-node world takes ~6 s.
+        pytest.param("biomine_lite", "lp", 2, marks=pytest.mark.slow),
+    ],
+)
+def test_core_prune_keeps_every_output(dataset, method, theta):
+    """Pruning to the ⌈ρ̃⌉-core changes no output on sampled worlds."""
+    ug = getattr(datasets, dataset)()
+    masks, _, _ = sample_block(ug.probs, 0, theta, 0, method, theta)
+    for w in range(theta):
+        we = ug.edges[masks[w]]
+        got, exp = all_densest_edge(we), unpruned_all_densest_edge(we)
+        assert got.rho == exp.rho, w
+        assert got.max_sized == exp.max_sized, w
+        assert set(got.subgraphs) == set(exp.subgraphs), w
+        assert got.truncated == exp.truncated, w

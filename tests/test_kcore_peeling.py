@@ -4,9 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.graphs.graph import canonical_edges, degrees
+from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest_edge
+from repro.graphs.graph import canonical_edges
 from repro.graphs.kcore import core_numbers, k_core_nodes
 from repro.graphs.peeling import charikar_peel, instance_core, instance_peel
+
+# Random graphs as (n, sampled node pairs, seed): the small ones first,
+# then n = 200 ones on which the batched peels run many rounds.
+KCORE_GRAPHS = [(12, 30, s) for s in range(8)] + [(200, 300, s) for s in range(3)]
+PEEL_GRAPHS = [(10, 25, s) for s in range(6)] + [(200, 400, s) for s in range(3)]
+
+
+def graph_ids(graphs):
+    return [str(s) if n <= 12 else f"n{n}-{s}" for n, _, s in graphs]
 
 
 def brute_k_core(edges, n, k):
@@ -23,12 +33,11 @@ def brute_k_core(edges, n, k):
         alive -= drop
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n, pairs, seed", KCORE_GRAPHS, ids=graph_ids(KCORE_GRAPHS))
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_k_core_matches_brute(seed, k):
+def test_k_core_matches_brute(n, pairs, seed, k):
     g = np.random.default_rng(seed)
-    n = 12
-    e = canonical_edges(g.integers(0, n, size=(30, 2)))
+    e = canonical_edges(g.integers(0, n, size=(pairs, 2)))
     got = set(k_core_nodes(e, n, k).tolist())
     exp = brute_k_core([tuple(x) for x in e.tolist()], n, k)
     # brute force keeps isolated nodes when k == 0 only; for k >= 1 match
@@ -50,21 +59,21 @@ def test_core_numbers_clique_plus_tail():
     assert cn[4] == 1 and cn[5] == 1
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_charikar_peel_is_half_approx_and_achieved(seed):
+@pytest.mark.parametrize("n, pairs, seed", PEEL_GRAPHS, ids=graph_ids(PEEL_GRAPHS))
+def test_charikar_peel_is_half_approx_and_achieved(n, pairs, seed):
     g = np.random.default_rng(seed)
-    n = 10
-    e = canonical_edges(g.integers(0, n, size=(25, 2)))
+    e = canonical_edges(g.integers(0, n, size=(pairs, 2)))
     if len(e) == 0:
         pytest.skip("empty draw")
     best, best_set = charikar_peel(e, n)
     # achieved: density of the returned set equals `best`
     cnt = sum(1 for u, v in e if u in best_set and v in best_set)
     assert Fraction(cnt, len(best_set)) == best
-    # brute optimum within factor 2
-    from repro.graphs.bruteforce import brute_all_densest
-
-    rho, _ = brute_all_densest(e, "edge")
+    # exact optimum (brute force where 2^n subsets are few) within factor 2
+    if n <= 12:
+        rho, _ = brute_all_densest(e, "edge")
+    else:
+        rho = unpruned_all_densest_edge(e).rho
     assert best <= rho <= 2 * best
 
 

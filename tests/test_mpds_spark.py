@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.estimate import estimate_set_probs
 from repro.core.mpds import MPDSResult, topk_mpds, world_results_df, world_stats
 from repro.core.uncertain import UncertainGraph
 from repro.datasets import fig1_graph, karate_club
@@ -95,3 +96,27 @@ def test_karate_mpds_matches_paper_regime(spark):
     comm = ug.meta["communities"]
     sides = {comm[v] for v in res.best_set}
     assert len(sides) == 1  # 100% purity (Table X)
+
+
+def test_graph_broadcast_once_per_context(spark, monkeypatch):
+    ug = fig1_graph()
+    sc = spark.sparkContext
+    made = []
+    real = type(sc).broadcast
+    monkeypatch.setattr(
+        type(sc), "broadcast", lambda self, value: made.append(value) or real(self, value)
+    )
+    topk_mpds(spark, ug, k=1, theta=8, seed=1)
+    topk_mpds(spark, ug, k=1, theta=8, seed=2)
+    estimate_set_probs(spark, ug, [frozenset({1, 3})], theta=8, seed=3)
+    assert len(made) == 1
+    first = ug.broadcast(sc)
+
+    class NewContext:
+        def broadcast(self, value):
+            made.append(value)
+            return object()
+
+    other = NewContext()
+    assert ug.broadcast(other) is ug.broadcast(other) is not first
+    assert len(made) == 2
