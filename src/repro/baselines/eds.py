@@ -8,110 +8,31 @@ integer-weighted optimum.
 
 Clique/pattern density (Theorem 7): the expected density is the
 weighted instance density with instance weight Π edge probs. The
-weighted flow network generalizes the pattern network of Algorithm 7
-with per-group weights; we reuse the grouped builder with integer
-weights (the group "count" becomes the scaled weight sum).
+weighted flow network generalizes the grouped network of Algorithm 7
+(an h-clique is the pattern K_h) with per-group weights; we reuse the
+grouped builder with integer weights (the group "count" becomes the
+scaled weight sum). The peel lower bound and the core prune are the
+instance peels of ``graphs/peeling.py`` with the same integer weights.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
-from ..graphs.cliques import list_cliques
+from ..graphs.alldense import instances
 from ..graphs.goldberg import (
     build_edge_network,
     build_pattern_network,
     goldberg_search,
 )
 from ..graphs.graph import relabel
-from ..graphs.patterns import PATTERNS, enumerate_instances, instance_pattern_edges
+from ..graphs.patterns import instance_edges
+from ..graphs.peeling import instance_core, instance_peel
 
 SCALE = 1_000_000
-
-
-def _weighted_peel(
-    items: list[tuple[tuple[int, ...], int]], n: int
-) -> tuple[Fraction, set[int]]:
-    """Greedy min-weighted-degree peel over weighted instances.
-
-    Achieved-density lower bound + witness for the weighted search.
-    """
-    import heapq
-
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, (nodes, _w) in enumerate(items):
-        for v in nodes:
-            inst_of[v].append(i)
-    wdeg = np.zeros(n, dtype=np.int64)
-    for i, (nodes, w) in enumerate(items):
-        for v in nodes:
-            wdeg[v] += w
-    alive = np.array([len(inst_of[v]) > 0 for v in range(n)])
-    total = sum(w for _, w in items)
-    n_alive = int(alive.sum())
-    if n_alive == 0:
-        return Fraction(0), set()
-    item_alive = [True] * len(items)
-    heap = [(int(wdeg[v]), v) for v in range(n) if alive[v]]
-    heapq.heapify(heap)
-    best = Fraction(total, n_alive)
-    cur_set = {v for v in range(n) if alive[v]}
-    best_set = set(cur_set)
-    removed = np.zeros(n, dtype=bool)
-    while n_alive > 0 and heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != wdeg[v]:
-            continue
-        removed[v] = True
-        cur_set.discard(v)
-        n_alive -= 1
-        for i in inst_of[v]:
-            if item_alive[i]:
-                item_alive[i] = False
-                nodes, w = items[i]
-                total -= w
-                for u in nodes:
-                    if u != v and not removed[u]:
-                        wdeg[u] -= w
-                        heapq.heappush(heap, (int(wdeg[u]), u))
-        if n_alive > 0:
-            dens = Fraction(total, n_alive)
-            if dens > best:
-                best = dens
-                best_set = set(cur_set)
-    return best, best_set
-
-
-def _weighted_core(
-    items: list[tuple[tuple[int, ...], int]], n: int, thresh: Fraction
-) -> set[int]:
-    """Nodes surviving iterative removal of weighted degree < thresh."""
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    wdeg = np.zeros(n, dtype=np.int64)
-    for i, (nodes, w) in enumerate(items):
-        for v in nodes:
-            inst_of[v].append(i)
-            wdeg[v] += w
-    alive = wdeg > 0
-    item_alive = [True] * len(items)
-    queue = [v for v in range(n) if alive[v] and wdeg[v] < thresh]
-    for v in queue:
-        alive[v] = False
-    while queue:
-        v = queue.pop()
-        for i in inst_of[v]:
-            if item_alive[i]:
-                item_alive[i] = False
-                nodes, w = items[i]
-                for u in nodes:
-                    if u != v and alive[u]:
-                        wdeg[u] -= w
-                        if wdeg[u] < thresh:
-                            alive[u] = False
-                            queue.append(u)
-    return {v for v in range(n) if alive[v]}
 
 
 def expected_densest(
@@ -123,60 +44,42 @@ def expected_densest(
     if n == 0:
         return frozenset(), 0.0
     w_int = np.maximum(1, np.round(ug.probs * SCALE).astype(np.int64))
-    if notion == "edge":
-        items = [
-            (tuple(sorted((int(u), int(v)))), int(w))
-            for (u, v), w in zip(ce, w_int)
-        ]
-        prob_of = None
-    else:
-        prob_of = {
-            (int(u), int(v)): int(w) for (u, v), w in zip(ce, w_int)
-        }
-        if notion.startswith("clique:"):
-            insts = list_cliques(ce, n, int(notion.split(":")[1]))
-            pat = None
-        else:
-            insts = enumerate_instances(ce, n, notion)
-            pat = notion
-        items = []
-        for inst in insts:
-            w = 1.0
-            for a, b in instance_pattern_edges(inst, pat):
-                w *= prob_of[(min(a, b), max(a, b))] / SCALE
-            items.append((tuple(inst), max(1, int(round(w * SCALE)))))
-    if not items:
+    prob_of = {(int(u), int(v)): int(w) for (u, v), w in zip(ce, w_int)}
+    insts = instances(ce, n, notion)
+    if not insts:
         return frozenset(), 0.0
-    lo, _ = _weighted_peel(items, n)
+    weights = np.empty(len(insts), dtype=np.int64)
+    for i, inst in enumerate(insts):
+        w = 1.0
+        for a, b in instance_edges(inst, notion):
+            w *= prob_of[(min(a, b), max(a, b))] / SCALE
+        weights[i] = max(1, int(round(w * SCALE)))
+    lo = instance_peel(insts, n, weights)[0]
     # Prune to the weighted core: any node of the weighted densest
     # subgraph has weighted instance degree ≥ ρ* ≥ ρ̃ (same exchange
     # argument as the unweighted case), so iteratively dropping nodes
-    # with weighted degree < ρ̃ keeps the optimum intact.
-    core = _weighted_core(items, n, lo)
+    # with weighted degree < ρ̃, i.e. < ⌈ρ̃⌉ for integer degrees, keeps
+    # the optimum intact.
+    core = instance_core(insts, n, math.ceil(lo), weights)
     keep_ids = np.array(sorted(core), dtype=np.int64)
     pos = {int(v): i for i, v in enumerate(keep_ids)}
-    items = [
-        (tuple(pos[v] for v in nodes), w)
-        for nodes, w in items
-        if all(v in core for v in nodes)
-    ]
+    kept = [i for i, inst in enumerate(insts) if all(v in core for v in inst)]
+    insts = [tuple(pos[v] for v in insts[i]) for i in kept]
+    weights = weights[kept]
     ids = ids[keep_ids]
     n = len(keep_ids)
-    if notion == "edge":
-        ce = np.array(
-            [sorted(nodes) for nodes, _ in items], dtype=np.int64
-        ).reshape(-1, 2)
-    if not items or n == 0:
+    if not insts or n == 0:
         return frozenset(), 0.0
-    lo, witness = _weighted_peel(items, n)
+    lo, witness, _, _, _ = instance_peel(insts, n, weights)
+    wts = weights.tolist()
 
     def density_of(S: set[int]) -> Fraction:
-        tot = sum(w for nodes, w in items if all(v in S for v in nodes))
+        tot = sum(w for inst, w in zip(insts, wts) if all(v in S for v in inst))
         return Fraction(tot, len(S))
 
-    hi = Fraction(sum(w for _, w in items), 1)
+    hi = Fraction(sum(wts), 1)
     if notion == "edge":
-        weights = np.array([w for _, w in items], dtype=np.int64)
+        ce = np.array(insts, dtype=np.int64)
 
         def builder(alpha: Fraction):
             return build_edge_network(ce, n, alpha, weights)
@@ -185,17 +88,12 @@ def expected_densest(
         # grouped weighted-instance network: group weight = Σ instance
         # weights sharing a node set (generalizes Algorithm 7's |g|).
         groups: dict[frozenset[int], int] = {}
-        for nodes, w in items:
-            key = frozenset(nodes)
+        for inst, w in zip(insts, wts):
+            key = frozenset(inst)
             groups[key] = groups.get(key, 0) + w
-        psz = (
-            int(notion.split(":")[1])
-            if notion.startswith("clique:")
-            else PATTERNS[notion].n_nodes
-        )
 
         def builder(alpha: Fraction):
-            return build_pattern_network(n, groups, psz, alpha)
+            return build_pattern_network(n, groups, len(insts[0]), alpha)
 
     # Densities are (Σ int weights)/|S|: gap ≥ 1/n² in weight units —
     # goldberg_search's termination rule applies unchanged.

@@ -22,20 +22,12 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from ..graphs.cliques import list_cliques
+from ..graphs.alldense import instances
 from ..graphs.graph import canonical_edges
-from ..graphs.patterns import enumerate_instances, instance_pattern_edges
+from ..graphs.patterns import instance_edges
 from .uncertain import UncertainGraph
 
 MAX_EXACT_EDGES = 26
-
-
-def _instances(edges: np.ndarray, n: int, notion: str):
-    if notion == "edge":
-        return [tuple(sorted((int(u), int(v)))) for u, v in edges], None
-    if notion.startswith("clique:"):
-        return list_cliques(edges, n, int(notion.split(":")[1])), None
-    return enumerate_instances(edges, n, notion), notion
 
 
 def _prepare(ug: UncertainGraph, notion: str):
@@ -47,12 +39,12 @@ def _prepare(ug: UncertainGraph, notion: str):
         )
     n = ug.n
     eidx = {(int(u), int(v)): i for i, (u, v) in enumerate(edges)}
-    insts, pat = _instances(edges, n, notion)
+    insts = instances(edges, n, notion)
     inst_masks = []
     inst_nodes = []
     for inst in insts:
         mask = 0
-        for a, b in instance_pattern_edges(inst, pat):
+        for a, b in instance_edges(inst, notion):
             mask |= 1 << eidx[(min(a, b), max(a, b))]
         inst_masks.append(mask)
         inst_nodes.append(frozenset(inst))

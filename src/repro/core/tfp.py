@@ -57,9 +57,3 @@ def topk_closed_itemsets(
     out.sort(key=lambda t: (-t[1], -len(t[0]), sorted(t[0])))
     return out[:k]
 
-
-def support_of(
-    transactions: list[tuple[frozenset[int], float]], x: frozenset[int]
-) -> float:
-    """Weighted support of an arbitrary node set (γ̂ numerator)."""
-    return sum(w for t, w in transactions if x <= t)

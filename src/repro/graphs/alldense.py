@@ -4,9 +4,10 @@ Edge density follows Chang & Qiao (WWW'20): Goldberg network at α = ρ*,
 residual graph under a max flow, SCC condensation, then every
 *independent component set* (antichain of non-trivial SCCs intersecting
 V) maps bijectively to a densest subgraph via C ∪ des(C) (Algorithm 3).
-Clique density is Algorithm 2 (flow network of Algorithm 6) and pattern
-density is Algorithm 4 (network of Algorithm 7) — same skeleton, Λ-nodes
-added to the network.
+h-clique density (Algorithm 2) and pattern density (Algorithm 4) share
+one pipeline over node-tuple instances, on the grouped-instance network
+of Algorithm 7: an h-clique is the pattern K_h. ``instances`` is the one
+place that turns a density notion into its instances.
 
 Per-world convention (matches the paper's Table I accounting): a world
 with no edge / no h-clique / no ψ-instance has maximum density 0 and
@@ -26,16 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cliques import list_cliques, sub_cliques
-from .goldberg import (
-    build_clique_network,
-    build_edge_network,
-    build_pattern_network,
-    goldberg_search,
-)
+from .cliques import list_cliques
+from .goldberg import build_edge_network, build_pattern_network, goldberg_search
 from .graph import canonical_edges, induced_edge_count, relabel
 from .kcore import k_core_nodes
-from .patterns import PATTERNS, enumerate_instances, group_instances
+from .patterns import enumerate_instances, group_instances
 from .peeling import charikar_peel, instance_core, instance_peel
 from .scc import condensation, descendants_bitsets, tarjan_scc
 
@@ -50,6 +46,24 @@ class DensestResult:
     n_densest: int  # number enumerated (== len(subgraphs))
     truncated: bool = False
     core_nodes: int = 0  # pruned-core size (complexity reporting)
+
+
+def instances(
+    edges: np.ndarray, n: int, notion: str
+) -> list[tuple[int, ...]]:
+    """The instances of ``notion`` in a graph on compact ids ``0..n-1``.
+
+    ``'edge'`` gives each edge as a sorted pair, ``'clique:h'`` the
+    h-cliques, and a pattern name its ψ-instances; the instance size
+    |V_ψ| is the tuple length. Calls go through this module's globals
+    ``list_cliques`` and ``enumerate_instances``, so wrapping them here
+    sees every instance listing.
+    """
+    if notion == "edge":
+        return [tuple(sorted((int(u), int(v)))) for u, v in edges]
+    if notion.startswith("clique:"):
+        return list_cliques(edges, n, int(notion.split(":")[1]))
+    return enumerate_instances(edges, n, notion)
 
 
 def _enumerate_from_residual(
@@ -79,7 +93,6 @@ def _enumerate_from_residual(
     anc = [0] * n_comps
     for c in nontrivial:
         m = des[c]
-        d = 0
         while m:
             low = m & -m
             anc[low.bit_length() - 1] |= 1 << c
@@ -175,74 +188,21 @@ def all_densest_edge(
     return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
 
 
-def all_densest_clique(
-    edges: np.ndarray, h: int, max_enum: int = 100_000
+def _all_densest_instances(
+    edges: np.ndarray, notion: str, max_enum: int
 ) -> DensestResult:
-    """Algorithm 2: all h-clique-densest subgraphs (exact)."""
+    """Algorithms 2 and 4: all h-clique- or ψ-densest subgraphs (exact)."""
     e = canonical_edges(edges)
     if len(e) == 0:
         return DensestResult(Fraction(0), [], frozenset(), 0)
     ce, ids = relabel(e)
     n = len(ids)
-    cliques = list_cliques(ce, n, h)
-    if not cliques:
+    insts = instances(ce, n, notion)
+    if not insts:
         return DensestResult(Fraction(0), [], frozenset(), 0)
-    rho_tilde, _peel_set, _, _, _ = instance_peel(cliques, n)
-    core_set = instance_core(cliques, n, int(np.ceil(rho_tilde)))
-    core_cliques = [c for c in cliques if all(v in core_set for v in c)]
-    # Relabel core
-    core_ids = np.array(sorted(core_set), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(core_ids)}
-    n2 = len(core_ids)
-    cl2 = [tuple(sorted(pos[v] for v in c)) for c in core_cliques]
-    keep = np.array([u in core_set and v in core_set for u, v in ce])
-    ce2 = np.array(
-        [[pos[int(u)], pos[int(v)]] for u, v in ce[keep]], dtype=np.int64
-    ).reshape(-1, 2)
-    lambdas = sub_cliques(cl2)
-    cl2_per_node: list[list[int]] = [[] for _ in range(n2)]
-    for i, c in enumerate(cl2):
-        for v in c:
-            cl2_per_node[v].append(i)
-
-    def density_of(S: set[int]) -> Fraction:
-        cnt = sum(1 for c in cl2 if all(v in S for v in c))
-        return Fraction(cnt, len(S))
-
-    # Achieved lower bound: rerun the peel on the core (peel set maps
-    # awkwardly through relabelling; recomputing is cheap and safe).
-    lo, witness, _, _, _ = instance_peel(cl2, n2)
-    hi = Fraction(len(cl2), 1)
-
-    def builder(alpha: Fraction):
-        return build_clique_network(ce2, n2, cl2, lambdas, alpha)
-
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
-
-
-def all_densest_pattern(
-    edges: np.ndarray, pattern: str, max_enum: int = 100_000
-) -> DensestResult:
-    """Algorithm 4: all ψ-densest subgraphs (exact)."""
-    psi = PATTERNS[pattern]
-    e = canonical_edges(edges)
-    if len(e) == 0:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
-    instances = enumerate_instances(ce, n, psi)
-    if not instances:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    rho_tilde, _ps, _, _, _ = instance_peel(instances, n)
-    core_set = instance_core(instances, n, int(np.ceil(rho_tilde)))
-    core_insts = [c for c in instances if all(v in core_set for v in c)]
+    rho_tilde, _ps, _, _, _ = instance_peel(insts, n)
+    core_set = instance_core(insts, n, int(np.ceil(rho_tilde)))
+    core_insts = [c for c in insts if all(v in core_set for v in c)]
     core_ids = np.array(sorted(core_set), dtype=np.int64)
     pos = {int(v): i for i, v in enumerate(core_ids)}
     n2 = len(core_ids)
@@ -257,7 +217,7 @@ def all_densest_pattern(
     hi = Fraction(len(insts2), 1)
 
     def builder(alpha: Fraction):
-        return build_pattern_network(n2, groups, psi.n_nodes, alpha)
+        return build_pattern_network(n2, groups, len(insts[0]), alpha)
 
     rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
     net, s, t, vid, _total = builder(rho)
@@ -272,9 +232,7 @@ def all_densest_pattern(
 def all_densest(
     edges: np.ndarray, notion: str, max_enum: int = 100_000
 ) -> DensestResult:
-    """Dispatch by density notion: 'edge', 'clique:h', or a pattern name."""
+    """All densest subgraphs for 'edge', 'clique:h', or a pattern name."""
     if notion == "edge":
         return all_densest_edge(edges, max_enum)
-    if notion.startswith("clique:"):
-        return all_densest_clique(edges, int(notion.split(":")[1]), max_enum)
-    return all_densest_pattern(edges, notion, max_enum)
+    return _all_densest_instances(edges, notion, max_enum)

@@ -3,9 +3,9 @@
 ``brute_all_densest`` enumerates all node subsets (2^n) of a tiny graph
 to find every densest subgraph for a density notion. Used by the
 test-suite to validate the flow-based exact pipelines, and by
-`repro.core.exact`'s unit tests. ``unpruned_all_densest_edge`` is the
-edge pipeline without its ⌈ρ̃⌉-core prune, for graphs too large to
-enumerate.
+`repro.core.exact`'s unit tests. ``unpruned_all_densest`` is the
+``all_densest`` pipeline without its ⌈ρ̃⌉-core prune, for graphs too
+large to enumerate.
 """
 from __future__ import annotations
 
@@ -14,19 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .alldense import DensestResult, _enumerate_from_residual
-from .cliques import list_cliques
-from .goldberg import build_edge_network, goldberg_search
-from .graph import canonical_edges, induced_edge_count, nodes_of, relabel
-from .patterns import enumerate_instances
-
-
-def _instances_for(edges: np.ndarray, n: int, notion: str) -> list[tuple[int, ...]]:
-    if notion == "edge":
-        return [tuple(sorted((int(u), int(v)))) for u, v in edges]
-    if notion.startswith("clique:"):
-        return list_cliques(edges, n, int(notion.split(":")[1]))
-    return enumerate_instances(edges, n, notion)
+from .alldense import DensestResult, _enumerate_from_residual, instances
+from .goldberg import build_edge_network, build_pattern_network, goldberg_search
+from .graph import canonical_edges, nodes_of, relabel
+from .patterns import group_instances
 
 
 def brute_all_densest(
@@ -41,10 +32,10 @@ def brute_all_densest(
     e = canonical_edges(edges)
     nodes = [int(v) for v in nodes_of(e)]
     n_max = (max(nodes) + 1) if nodes else 0
-    instances = _instances_for(e, n_max, notion)
-    if not instances:
+    insts = instances(e, n_max, notion)
+    if not insts:
         return Fraction(0), []
-    inst_sets = [frozenset(t) for t in instances]
+    inst_sets = [frozenset(t) for t in insts]
     best = Fraction(0)
     best_sets: list[frozenset[int]] = []
     for r in range(1, len(nodes) + 1):
@@ -60,30 +51,47 @@ def brute_all_densest(
     return best, sorted(best_sets, key=lambda s: (len(s), sorted(s)))
 
 
-def unpruned_all_densest_edge(
-    edges: np.ndarray, max_enum: int = 100_000
+def unpruned_all_densest(
+    edges: np.ndarray, notion: str, max_enum: int = 100_000
 ) -> DensestResult:
-    """``all_densest_edge`` on the whole graph, without the core prune.
+    """``all_densest`` on the whole graph, without the core prune.
 
     Goldberg's search starts from the trivial bounds (the whole graph's
-    density, achieved; (n − 1)/2 + 1 above), and the densest sets are
-    enumerated from the residual of the whole graph's network at α = ρ*.
+    density, achieved; the maximum instance degree over |V_ψ| above), and
+    the densest sets are enumerated from the residual of the whole
+    graph's network at α = ρ*: Goldberg's network for edge density,
+    Algorithm 7's grouped network otherwise.
     """
-    e = canonical_edges(edges)
-    if len(e) == 0:
+    ce, ids = relabel(canonical_edges(edges))
+    insts = instances(ce, len(ids), notion)
+    if not insts:
         return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
+    # A node in no instance carries no flow, so its residual arc to t
+    # would leave it in an SCC of its own; the network omits such nodes.
+    keep, inv = np.unique(np.array(insts, dtype=np.int64), return_inverse=True)
+    inst_arr = inv.reshape(len(insts), -1)
+    insts = [tuple(r) for r in inst_arr.tolist()]
+    ids, n = ids[keep], len(keep)
 
     def density_of(S: set[int]) -> Fraction:
-        return Fraction(induced_edge_count(ce, S), len(S))
+        member = np.zeros(n, dtype=bool)
+        member[list(S)] = True
+        return Fraction(int(member[inst_arr].all(axis=1).sum()), len(S))
 
-    def builder(alpha: Fraction):
-        return build_edge_network(ce, n, alpha)
+    if notion == "edge":
+        def builder(alpha: Fraction):
+            return build_edge_network(inst_arr, n, alpha)
+    else:
+        groups = group_instances(insts)
 
+        def builder(alpha: Fraction):
+            return build_pattern_network(n, groups, len(insts[0]), alpha)
+
+    # h·c(S) = Σ_{v∈S} deg_S(v) ≤ |S|·max deg, so ρ* ≤ max deg / h.
+    max_deg = int(np.bincount(inst_arr.ravel()).max())
     rho, _ = goldberg_search(
-        builder, n, Fraction(len(ce), n), set(range(n)),
-        Fraction(n - 1, 2) + 1, density_of,
+        builder, n, Fraction(len(insts), n), set(range(n)),
+        Fraction(max_deg, inst_arr.shape[1]), density_of,
     )
     net, s, t, vid, _total = builder(rho)
     net.max_flow(s, t)

@@ -1,8 +1,8 @@
-"""h-clique listing (kClist-style, degeneracy ordering) and clique degrees.
+"""h-clique listing (kClist-style, degeneracy ordering).
 
-Used by Algorithm 2 (all clique-densest subgraphs): the flow network has
-one node per (h−1)-clique contained in an h-clique, and clique degrees
-drive the (k, h)-core pruning.
+The h-cliques are the instances of h-clique density (Algorithm 2): they
+drive the (k, h)-core prune and, as the pattern K_h, the grouped flow
+network of Algorithm 7.
 """
 from __future__ import annotations
 
@@ -77,22 +77,3 @@ def list_cliques(edges: np.ndarray, n: int, h: int) -> list[tuple[int, ...]]:
         extend([u], fwd[u])
     return out
 
-
-def clique_degrees(
-    cliques: list[tuple[int, ...]], n: int
-) -> np.ndarray:
-    """deg_G(v, h): number of listed cliques containing each node."""
-    deg = np.zeros(n, dtype=np.int64)
-    for cl in cliques:
-        for v in cl:
-            deg[v] += 1
-    return deg
-
-
-def sub_cliques(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Λ: distinct (h−1)-cliques contained in the given h-cliques."""
-    seen: set[tuple[int, ...]] = set()
-    for cl in cliques:
-        for i in range(len(cl)):
-            seen.add(cl[:i] + cl[i + 1 :])
-    return sorted(seen)

@@ -1,10 +1,10 @@
 """Exact maximum-density computation via Goldberg-style binary search.
 
-All three density notions share one skeleton: a flow network
-parameterized by a rational guess α = a/b, built with *integer*
-capacities (everything scaled by b, the denominator). A subgraph denser
-than α exists iff the min s-t cut is strictly below the total capacity
-out of s; the residual source side then witnesses such a subgraph.
+Every density notion shares one skeleton: a flow network parameterized
+by a rational guess α = a/b, built with *integer* capacities
+(everything scaled by b, the denominator). A subgraph denser than α
+exists iff the min s-t cut is strictly below the total capacity out of
+s; the residual source side then witnesses such a subgraph.
 
 Distinct achievable densities are fractions with denominator ≤ n, so two
 of them differ by at least 1/n²; the search keeps an *achieved* lower
@@ -12,10 +12,11 @@ bound (with witness) and a proven upper bound, and stops once the gap is
 below 1/n² — at that point the lower bound IS the optimum ρ*.
 
 Network builders (paper references):
-* edge density       — Goldberg 1984 / Chang & Qiao WWW'20 (Example 4)
-* h-clique density   — Algorithm 6 (Mitzenmacher et al. KDD'15)
-* pattern density    — Algorithm 7 (Fang et al. VLDB'19, grouped instances)
-* weighted edges     — Zou 2013 expected-density baseline (integer weights)
+* edge density       — Goldberg 1984 / Chang & Qiao WWW'20 (Example 4);
+                       with integer edge weights, the Zou 2013
+                       expected-density baseline
+* h-clique and pattern density — Algorithm 7 (Fang et al. VLDB'19,
+                       grouped instances); an h-clique is the pattern K_h
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import degrees
 from .maxflow import FlowNetwork
 
 # A builder returns (net, s, t, v_node_ids) where v_node_ids[i] is the
@@ -59,58 +59,16 @@ def build_edge_network(
     return net, s, t, [2 + v for v in range(n)], total
 
 
-def build_clique_network(
-    edges: np.ndarray,
-    n: int,
-    cliques: list[tuple[int, ...]],
-    lambdas: list[tuple[int, ...]],
-    alpha: Fraction,
-) -> tuple[FlowNetwork, int, int, list[int], int]:
-    """Algorithm 6: flow network for h-clique density, scaled to integers.
-
-    Nodes: s, t, one per graph node, one per (h−1)-clique λ ∈ Λ.
-    s→v: deg(v,h)·b; v→t: h·a; λ→v (v∈λ): ∞; v→λ: b if λ∪{v} is an
-    h-clique.
-    """
-    h = len(cliques[0]) if cliques else 2
-    a, b = alpha.numerator, alpha.denominator
-    clique_set = {frozenset(c) for c in cliques}
-    deg = np.zeros(n, dtype=np.int64)
-    for c in cliques:
-        for v in c:
-            deg[v] += 1
-    n_net = 2 + n + len(lambdas)
-    net = FlowNetwork(n_net)
-    s, t = 0, 1
-    vid = [2 + v for v in range(n)]
-    lid = {lam: 2 + n + i for i, lam in enumerate(lambdas)}
-    inf = (int(deg.sum()) * b + 2 * a * n + 1) * (h + 1)
-    total = 0
-    for v in range(n):
-        if deg[v] > 0:
-            net.add_edge(s, vid[v], int(deg[v]) * b)
-            total += int(deg[v]) * b
-        net.add_edge(vid[v], t, h * a)
-    for lam in lambdas:
-        li = lid[lam]
-        lam_set = frozenset(lam)
-        for v in lam:
-            net.add_edge(li, vid[v], inf)
-        # candidate extenders: nodes adjacent to all of λ
-        for v in range(n):
-            if v not in lam_set and (lam_set | {v}) in clique_set:
-                net.add_edge(vid[v], li, b)
-    return net, s, t, vid, total
-
-
 def build_pattern_network(
     n: int,
     groups: dict[frozenset[int], int],
     pattern_size: int,
     alpha: Fraction,
 ) -> tuple[FlowNetwork, int, int, list[int], int]:
-    """Algorithm 7: flow network for pattern density (grouped instances).
+    """Algorithm 7: flow network for h-clique or pattern density.
 
+    Instances are grouped by node set; ``groups`` maps each node set to
+    its instance count |g| (or, for EDS, its integer weight sum).
     Nodes: s, t, one per graph node, one per instance group λ'.
     s→v: deg(v,ψ)·b; v→t: |V_ψ|·a; v'→λ': |g|·b; λ'→v': |g|(|V_ψ|−1)·b.
     """

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cliques import list_cliques
+from .alldense import instances
 from .graph import canonical_edges, relabel
-from .patterns import enumerate_instances
 from .peeling import instance_peel
 
 
@@ -25,10 +24,6 @@ class HeuristicResult:
     rho: Fraction  # best density among returned subgraphs
     subgraphs: list[frozenset[int]]  # candidate dense subgraphs
     best: frozenset[int]  # densest candidate (ties → larger set)
-
-
-def _edge_instances(edges: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(sorted((int(u), int(v)))) for u, v in edges]
 
 
 def heuristic_dense(
@@ -45,21 +40,16 @@ def heuristic_dense(
         return HeuristicResult(Fraction(0), [], frozenset())
     ce, ids = relabel(e)
     n = len(ids)
-    if notion == "edge":
-        instances = _edge_instances(ce)
-    elif notion.startswith("clique:"):
-        instances = list_cliques(ce, n, int(notion.split(":")[1]))
-    else:
-        instances = enumerate_instances(ce, n, notion)
-    if not instances:
+    insts = instances(ce, n, notion)
+    if not insts:
         return HeuristicResult(Fraction(0), [], frozenset())
     # One peel pass records removal order, suffix densities, AND popped
     # degrees — core numbers come free (Batagelj–Zaversnik: cn(v) =
     # running max of popped degree), so the innermost core is the peel
     # suffix from the first removal at the final running max.
-    _best, _best_set, order, densities, pop_deg = instance_peel(instances, n)
-    inst_node_sets = [frozenset(t) for t in instances]
-    touched = {v for t in instances for v in t}
+    _best, _best_set, order, densities, pop_deg = instance_peel(insts, n)
+    inst_node_sets = [frozenset(t) for t in insts]
+    touched = {v for t in insts for v in t}
     runmax = np.maximum.accumulate(np.array(pop_deg, dtype=np.int64))
     k_max = int(runmax[-1]) if len(runmax) else 0
     first = int(np.argmax(runmax == k_max)) if len(runmax) else 0

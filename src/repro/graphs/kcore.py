@@ -1,4 +1,4 @@
-"""k-core computation and degeneracy-style peeling on compact graphs.
+"""k-core computation on compact graphs.
 
 These run per sampled possible world inside Spark tasks. ``k_core_nodes``
 peels in rounds: one ``np.bincount`` gives every degree over the
@@ -10,8 +10,6 @@ time yields the same set.
 from __future__ import annotations
 
 import numpy as np
-
-from .graph import degrees
 
 
 def k_core_nodes(edges: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -27,33 +25,3 @@ def k_core_nodes(edges: np.ndarray, n: int, k: int) -> np.ndarray:
             return np.flatnonzero(alive).astype(np.int64)
         e = e[keep]
 
-
-def core_numbers(edges: np.ndarray, n: int) -> np.ndarray:
-    """Core number per node (Batagelj–Zaversnik bucket peeling)."""
-    deg = degrees(edges, n)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    order = np.argsort(deg, kind="stable")
-    # bucket-queue peel
-    import heapq
-
-    core = np.zeros(n, dtype=np.int64)
-    heap = [(int(deg[v]), int(v)) for v in order]
-    heapq.heapify(heap)
-    removed = np.zeros(n, dtype=bool)
-    cur_deg = deg.copy()
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != cur_deg[v]:
-            continue
-        k = max(k, d)
-        core[v] = k
-        removed[v] = True
-        for w in adj[v]:
-            if not removed[w]:
-                cur_deg[w] -= 1
-                heapq.heappush(heap, (int(cur_deg[w]), int(w)))
-    return core

@@ -1,9 +1,10 @@
 """Dinic max-flow on integer capacities, with residual-graph extraction.
 
-All flow networks in this reproduction (Goldberg edge-density networks,
-clique networks of Algorithm 6, pattern networks of Algorithm 7) are
-built with *integer* capacities: the rational density guess α = a/b is
-scaled by its denominator, so max-flow and the residual graph are exact.
+All flow networks in this reproduction (Goldberg edge-density networks
+and the grouped-instance networks of Algorithm 7 for h-clique and
+pattern density) are built with *integer* capacities: the rational
+density guess α = a/b is scaled by its denominator, so max-flow and the
+residual graph are exact.
 Python ints are arbitrary-precision, so scaling never overflows.
 
 Augmenting paths in these networks are short (s → v [→ λ] → t), so the

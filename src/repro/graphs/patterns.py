@@ -90,38 +90,25 @@ def enumerate_instances(
     return out
 
 
-def instance_count(edges: np.ndarray, n: int, pattern: str | Pattern) -> int:
-    """μ_ψ(G) — convenience wrapper."""
-    return len(enumerate_instances(edges, n, pattern))
-
-
-def instance_pattern_edges(
-    inst: tuple[int, ...], pattern: str | None
-) -> list[tuple[int, int]]:
-    """The edges of one embedding, per the tuple conventions of
-    :func:`enumerate_instances`. ``pattern=None`` means a clique (all
-    pairs). Used for instance existence probabilities (Theorem 7) and
-    for edge-masks in the exact possible-world enumerator."""
-    if pattern is None:  # clique
-        return [
-            (inst[i], inst[j])
-            for i in range(len(inst))
-            for j in range(i + 1, len(inst))
-        ]
-    name = pattern.name if isinstance(pattern, Pattern) else pattern
-    if name == "2-star":
+def instance_edges(inst: tuple[int, ...], notion: str) -> list[tuple[int, int]]:
+    """The edges of one instance of ``notion``, per the tuple conventions
+    of :func:`enumerate_instances`. An edge or h-clique instance has every
+    pair of its nodes. Used for instance existence probabilities
+    (Theorem 7) and for edge-masks in the exact possible-world
+    enumerator."""
+    if notion == "2-star":
         c, a, b = inst
         return [(c, a), (c, b)]
-    if name == "3-star":
+    if notion == "3-star":
         c, a, b, d = inst
         return [(c, a), (c, b), (c, d)]
-    if name == "c3-star":
+    if notion == "c3-star":
         x, t1, t2, pend = inst
         return [(x, t1), (x, t2), (t1, t2), (x, pend)]
-    if name == "diamond":
+    if notion == "diamond":
         u, v, w, x = inst
         return [(u, v), (u, w), (u, x), (v, w), (v, x)]
-    raise ValueError(f"unknown pattern {name!r}")
+    return list(combinations(inst, 2))
 
 
 def group_instances(

@@ -17,7 +17,8 @@ raise its density), and v is dropped only if deg_S(v) ≤ 2ρ(S); hence
 are node tuples (the h-cliques or ψ-instances); the density of a node
 set is (#instances fully inside) / |set|. It also powers the
 (k, h)-core / (k, ψ)-core (``instance_core``) and the heuristic
-dense-subgraph method of §III-C.
+dense-subgraph method of §III-C. With integer instance weights both
+serve the expected densest subgraph baseline (``baselines/eds.py``).
 """
 from __future__ import annotations
 
@@ -54,8 +55,23 @@ def charikar_peel(edges: np.ndarray, n: int) -> tuple[Fraction, set[int]]:
     return Fraction(best_m, best_n), set(np.flatnonzero(best_alive).tolist())
 
 
+def _instance_degrees(
+    instances: list[tuple[int, ...]], n: int, weights: np.ndarray | None
+) -> tuple[list[list[int]], list[int], np.ndarray]:
+    """Instance ids per node, instance weights, and weighted degrees."""
+    inst_of: list[list[int]] = [[] for _ in range(n)]
+    for i, inst in enumerate(instances):
+        for v in inst:
+            inst_of[v].append(i)
+    wt = [1] * len(instances) if weights is None else np.asarray(weights).tolist()
+    deg = np.array(
+        [sum(wt[i] for i in inst_of[v]) for v in range(n)], dtype=np.int64
+    )
+    return inst_of, wt, deg
+
+
 def instance_peel(
-    instances: list[tuple[int, ...]], n: int
+    instances: list[tuple[int, ...]], n: int, weights: np.ndarray | None = None
 ) -> tuple[Fraction, set[int], list[int], list[Fraction], list[int]]:
     """Min-instance-degree peel for clique/pattern density.
 
@@ -64,22 +80,19 @@ def instance_peel(
     trace gives core numbers for free: cn(v) = running max of the popped
     degree up to v's removal (Batagelj–Zaversnik). Nodes not in any
     instance are treated as removed up front (they can never be in a
-    densest subgraph with positive density).
+    densest subgraph with positive density). Optional positive integer
+    ``weights`` (one per instance) make degrees and densities weighted.
     """
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, inst in enumerate(instances):
-        for v in inst:
-            inst_of[v].append(i)
-    deg = np.array([len(inst_of[v]) for v in range(n)], dtype=np.int64)
+    inst_of, wt, deg = _instance_degrees(instances, n, weights)
     alive = deg > 0
     n_alive = int(alive.sum())
     if not instances or n_alive == 0:
         return Fraction(0), set(), [], [], []
     inst_alive = np.ones(len(instances), dtype=bool)
-    n_inst = len(instances)
+    total = sum(wt)
     heap = [(int(deg[v]), int(v)) for v in range(n) if alive[v]]
     heapq.heapify(heap)
-    best = Fraction(n_inst, n_alive)
+    best = Fraction(total, n_alive)
     best_set = {v for v in range(n) if alive[v]}
     cur_set = set(best_set)
     removal_order: list[int] = []
@@ -98,13 +111,13 @@ def instance_peel(
         for i in inst_of[v]:
             if inst_alive[i]:
                 inst_alive[i] = False
-                n_inst -= 1
+                total -= wt[i]
                 for w in instances[i]:
                     if w != v and not removed[w]:
-                        deg[w] -= 1
+                        deg[w] -= wt[i]
                         heapq.heappush(heap, (int(deg[w]), int(w)))
         if n_alive > 0:
-            dens = Fraction(n_inst, n_alive)
+            dens = Fraction(total, n_alive)
             densities.append(dens)
             if dens > best:
                 best = dens
@@ -115,16 +128,16 @@ def instance_peel(
 
 
 def instance_core(
-    instances: list[tuple[int, ...]], n: int, k: int
+    instances: list[tuple[int, ...]],
+    n: int,
+    k: int,
+    weights: np.ndarray | None = None,
 ) -> set[int]:
     """(k, ·)-core w.r.t. instance degree: maximal node set where every
     node is contained in ≥ k surviving instances (instances count only
-    if all their nodes survive)."""
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, inst in enumerate(instances):
-        for v in inst:
-            inst_of[v].append(i)
-    deg = np.array([len(inst_of[v]) for v in range(n)], dtype=np.int64)
+    if all their nodes survive). With ``weights``, a node needs surviving
+    instance weight ≥ k."""
+    inst_of, wt, deg = _instance_degrees(instances, n, weights)
     alive = deg > 0
     inst_alive = np.ones(len(instances), dtype=bool)
     queue = [v for v in range(n) if alive[v] and deg[v] < k]
@@ -137,7 +150,7 @@ def instance_core(
                 inst_alive[i] = False
                 for w in instances[i]:
                     if w != v and alive[w]:
-                        deg[w] -= 1
+                        deg[w] -= wt[i]
                         if deg[w] < k:
                             alive[w] = False
                             queue.append(w)

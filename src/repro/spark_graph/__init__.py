@@ -3,12 +3,10 @@
 These express the paper's graph-level quantities as Spark SQL dataflow
 (joins/aggregations) rather than per-world Python kernels: degrees,
 triangle enumeration, the probabilistic density / clustering
-coefficient metrics of §VI-B, expected densities, and iterative k-core
-peeling (the DataFrame analogue of a GraphX/Pregel loop). Each query is
+coefficient metrics of §VI-B, and expected densities. Each query is
 cross-checked against DuckDB via ``repro.oracle`` in the test-suite.
 """
 from .ops import degrees_df, triangles_df, weighted_degrees_df
-from .kcore_df import k_core_df
 from .metrics import (
     expected_edge_density_df,
     probabilistic_clustering_coefficient,
@@ -19,7 +17,6 @@ __all__ = [
     "degrees_df",
     "weighted_degrees_df",
     "triangles_df",
-    "k_core_df",
     "probabilistic_density",
     "probabilistic_clustering_coefficient",
     "expected_edge_density_df",

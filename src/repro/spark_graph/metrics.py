@@ -11,7 +11,7 @@ Expected edge density (linearity): Σ_{e ⊆ U} p(e) / |U|.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .ops import triangles_df

@@ -11,13 +11,8 @@ import pytest
 
 from repro import datasets
 from repro.core.sampling import sample_block
-from repro.graphs.alldense import (
-    all_densest,
-    all_densest_clique,
-    all_densest_edge,
-    all_densest_pattern,
-)
-from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest_edge
+from repro.graphs.alldense import all_densest, all_densest_edge
+from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest
 from repro.graphs.graph import canonical_edges
 
 NOTIONS = ["edge", "clique:3", "clique:4", "2-star", "3-star", "c3-star", "diamond"]
@@ -101,20 +96,20 @@ def test_clique_densest_k4_plus_pendant():
     e = canonical_edges(
         np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]])
     )
-    res = all_densest_clique(e, 3)
+    res = all_densest(e, "clique:3")
     assert res.rho == Fraction(4, 4)
     assert res.subgraphs == [frozenset({0, 1, 2, 3})]
 
 
 def test_clique_no_instances():
     # a path has no triangle: clique:3 has no densest subgraph
-    res = all_densest_clique(np.array([[0, 1], [1, 2]]), 3)
+    res = all_densest(np.array([[0, 1], [1, 2]]), "clique:3")
     assert res.rho == 0 and res.subgraphs == []
 
 
 def test_pattern_no_instances():
     # single edge has no 2-star
-    res = all_densest_pattern(np.array([[0, 1]]), "2-star")
+    res = all_densest(np.array([[0, 1]]), "2-star")
     assert res.rho == 0 and res.subgraphs == []
 
 
@@ -144,7 +139,7 @@ def test_clique5_on_denser_graphs(seed):
     ]
     e = canonical_edges(np.array(edges).reshape(-1, 2))
     rho, exp_sets = brute_all_densest(e, "clique:5")
-    res = all_densest_clique(e, 5)
+    res = all_densest(e, "clique:5")
     assert res.rho == rho
     assert sorted(res.subgraphs, key=lambda s: (len(s), sorted(s))) == exp_sets
 
@@ -165,22 +160,37 @@ def test_paper_example4_shape():
     }
 
 
+# Edge cases keep their ids from before the notion parameter existed.
+CORE_PRUNE_CASES = [
+    ("karate_club", "mc", 200, "edge"),
+    ("intel_lab", "mc", 200, "edge"),
+    # An unpruned search on a ~10 000-node world takes ~6 s.
+    pytest.param("biomine_lite", "lp", 2, "edge", marks=pytest.mark.slow),
+    ("karate_club", "mc", 200, "clique:3"),
+    ("intel_lab", "mc", 64, "clique:3"),
+    ("karate_club", "mc", 200, "2-star"),
+]
+
+
 @pytest.mark.parametrize(
-    "dataset, method, theta",
-    [
-        ("karate_club", "mc", 200),
-        ("intel_lab", "mc", 200),
-        # An unpruned search on a ~10 000-node world takes ~6 s.
-        pytest.param("biomine_lite", "lp", 2, marks=pytest.mark.slow),
+    "dataset, method, theta, notion",
+    CORE_PRUNE_CASES,
+    ids=[
+        "karate_club-mc-200",
+        "intel_lab-mc-200",
+        "biomine_lite-lp-2",
+        "karate_club-mc-200-clique:3",
+        "intel_lab-mc-64-clique:3",
+        "karate_club-mc-200-2-star",
     ],
 )
-def test_core_prune_keeps_every_output(dataset, method, theta):
+def test_core_prune_keeps_every_output(dataset, method, theta, notion):
     """Pruning to the ⌈ρ̃⌉-core changes no output on sampled worlds."""
     ug = getattr(datasets, dataset)()
     masks, _, _ = sample_block(ug.probs, 0, theta, 0, method, theta)
     for w in range(theta):
         we = ug.edges[masks[w]]
-        got, exp = all_densest_edge(we), unpruned_all_densest_edge(we)
+        got, exp = all_densest(we, notion), unpruned_all_densest(we, notion)
         assert got.rho == exp.rho, w
         assert got.max_sized == exp.max_sized, w
         assert set(got.subgraphs) == set(exp.subgraphs), w

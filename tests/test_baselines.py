@@ -12,6 +12,7 @@ from repro.baselines import (
 )
 from repro.baselines.ucore import eta_core_numbers, eta_degree
 from repro.baselines.utruss import gamma_truss_numbers
+from repro.core.estimate import expected_density
 from repro.core.uncertain import UncertainGraph
 
 
@@ -26,36 +27,34 @@ def random_ug(seed, n=7, p_edge=0.6):
     return UncertainGraph.from_edges(edges, probs, n=n)
 
 
-def brute_expected_densest(ug):
+def brute_expected_densest(ug, notion):
     nodes = sorted({int(v) for e in ug.edges for v in e})
-    best, best_set = -1.0, frozenset()
+    best, best_set = 0.0, frozenset()
     for r in range(1, len(nodes) + 1):
         for sub in combinations(nodes, r):
-            S = set(sub)
-            w = sum(
-                p
-                for (u, v), p in zip(ug.edges, ug.probs)
-                if int(u) in S and int(v) in S
-            )
-            d = w / r
+            d = expected_density(ug, frozenset(sub), notion)
             if d > best + 1e-12:
-                best, best_set = d, frozenset(S)
+                best, best_set = d, frozenset(sub)
     return best_set, best
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_eds_matches_brute_optimum(seed):
+# Edge cases keep their ids from before the notion parameter existed.
+EDS_CASES = [
+    pytest.param(seed, notion, id=str(seed) if notion == "edge" else f"{notion}-{seed}")
+    for notion in ("edge", "clique:3", "2-star")
+    for seed in range(10)
+]
+
+
+@pytest.mark.parametrize("seed, notion", EDS_CASES)
+def test_eds_matches_brute_optimum(seed, notion):
     ug = random_ug(seed)
-    got_set, got_d = expected_densest(ug, "edge")
-    _exp_set, exp_d = brute_expected_densest(ug)
+    got_set, got_d = expected_densest(ug, notion)
+    _exp_set, exp_d = brute_expected_densest(ug, notion)
+    # EDS rounds probabilities and instance weights to multiples of 1e-6.
     assert got_d == pytest.approx(exp_d, abs=1e-5)
     # the returned set achieves the optimum
-    w = sum(
-        p
-        for (u, v), p in zip(ug.edges, ug.probs)
-        if int(u) in got_set and int(v) in got_set
-    )
-    assert w / len(got_set) == pytest.approx(exp_d, abs=1e-5)
+    assert expected_density(ug, got_set, notion) == pytest.approx(exp_d, abs=1e-5)
 
 
 def test_eds_clique_notion_runs():

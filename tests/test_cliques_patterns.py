@@ -4,18 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.graphs.cliques import (
-    clique_degrees,
-    degeneracy_order,
-    list_cliques,
-    sub_cliques,
-)
+from repro.graphs.cliques import degeneracy_order, list_cliques
 from repro.graphs.graph import adjacency_sets, canonical_edges
 from repro.graphs.patterns import (
     PATTERNS,
     enumerate_instances,
     group_instances,
-    instance_pattern_edges,
+    instance_edges,
 )
 
 
@@ -49,17 +44,6 @@ def test_list_cliques_k4():
 
 def test_list_cliques_empty_graph():
     assert list_cliques(np.empty((0, 2), dtype=np.int64), 0, 3) == []
-
-
-def test_clique_degrees():
-    tris = [(0, 1, 2), (0, 1, 3)]
-    deg = clique_degrees(tris, 4)
-    assert deg.tolist() == [2, 2, 1, 1]
-
-
-def test_sub_cliques_dedup():
-    lams = sub_cliques([(0, 1, 2), (0, 1, 3)])
-    assert lams == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 def test_degeneracy_order_is_permutation():
@@ -133,7 +117,7 @@ def test_instance_pattern_edges_within_instance():
     e = canonical_edges(np.array([[0, 1], [0, 2], [1, 2], [0, 3]]))
     for name in PATTERNS:
         for inst in enumerate_instances(e, 4, name):
-            pe = instance_pattern_edges(inst, name)
+            pe = instance_edges(inst, name)
             # every declared edge must be a real graph edge
             have = {(int(u), int(v)) for u, v in e}
             for a, b in pe:
@@ -141,9 +125,10 @@ def test_instance_pattern_edges_within_instance():
 
 
 def test_instance_pattern_edges_clique():
-    assert sorted(instance_pattern_edges((1, 2, 3), None)) == [
+    assert sorted(instance_edges((1, 2, 3), "clique:3")) == [
         (1, 2), (1, 3), (2, 3)
     ]
+    assert instance_edges((4, 7), "edge") == [(4, 7)]
 
 
 def test_unknown_pattern_raises():

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.bruteforce import brute_all_densest
-from repro.graphs.cliques import list_cliques, sub_cliques
+from repro.graphs.cliques import list_cliques
 from repro.graphs.goldberg import (
-    build_clique_network,
     build_edge_network,
     build_pattern_network,
     goldberg_search,
@@ -49,14 +48,14 @@ def test_clique_density_search_matches_brute(seed):
     if not cl:
         pytest.skip("no triangle")
     rho_b, _ = brute_all_densest(e, "clique:3")
-    lams = sub_cliques(cl)
+    groups = group_instances(cl)  # one triangle per node set
     lo, witness, _, _, _ = instance_peel(cl, n)
 
     def density_of(S):
         return Fraction(sum(1 for c in cl if all(v in S for v in c)), len(S))
 
     rho, w = goldberg_search(
-        lambda a: build_clique_network(e, n, cl, lams, a), n, lo, witness,
+        lambda a: build_pattern_network(n, groups, 3, a), n, lo, witness,
         Fraction(len(cl), 1), density_of,
     )
     assert rho == rho_b and density_of(w) == rho_b

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest_edge
+from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest
+from repro.graphs.cliques import list_cliques
 from repro.graphs.graph import canonical_edges
-from repro.graphs.kcore import core_numbers, k_core_nodes
+from repro.graphs.kcore import k_core_nodes
 from repro.graphs.peeling import charikar_peel, instance_core, instance_peel
 
 # Random graphs as (n, sampled node pairs, seed): the small ones first,
@@ -49,16 +50,6 @@ def test_k_core_zero_returns_all():
     assert set(k_core_nodes(e, 3, 0).tolist()) == {0, 1, 2}
 
 
-def test_core_numbers_clique_plus_tail():
-    # K4 (core 3) with a path tail (core 1)
-    e = canonical_edges(
-        np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4], [4, 5]])
-    )
-    cn = core_numbers(e, 6)
-    assert cn[:4].tolist() == [3, 3, 3, 3]
-    assert cn[4] == 1 and cn[5] == 1
-
-
 @pytest.mark.parametrize("n, pairs, seed", PEEL_GRAPHS, ids=graph_ids(PEEL_GRAPHS))
 def test_charikar_peel_is_half_approx_and_achieved(n, pairs, seed):
     g = np.random.default_rng(seed)
@@ -73,7 +64,7 @@ def test_charikar_peel_is_half_approx_and_achieved(n, pairs, seed):
     if n <= 12:
         rho, _ = brute_all_densest(e, "edge")
     else:
-        rho = unpruned_all_densest_edge(e).rho
+        rho = unpruned_all_densest(e, "edge").rho
     assert best <= rho <= 2 * best
 
 
@@ -92,6 +83,16 @@ def test_instance_peel_matches_edge_peel_on_edges():
     assert set_i in ({0, 1, 2}, {0, 1, 2, 3})
     assert set_e in ({0, 1, 2}, {0, 1, 2, 3})
     assert len(order) == len(dens) == 4
+
+
+def test_instance_peel_unit_weights_match_unweighted():
+    g = np.random.default_rng(0)
+    e = canonical_edges(g.integers(0, 12, size=(40, 2)))
+    tris = list_cliques(e, 12, 3)
+    ones = np.ones(len(tris), dtype=np.int64)
+    assert instance_peel(tris, 12, weights=ones) == instance_peel(tris, 12)
+    for k in range(1, 5):
+        assert instance_core(tris, 12, k, ones) == instance_core(tris, 12, k)
 
 
 def test_instance_core_triangle_instances():

@@ -8,7 +8,6 @@ from repro.datasets import karate_club
 from repro.oracle import assert_equivalent
 from repro.spark_graph import (
     degrees_df,
-    k_core_df,
     probabilistic_clustering_coefficient,
     probabilistic_density,
     triangles_df,
@@ -70,24 +69,6 @@ def test_triangles_oracle(spark, karate):
 def test_triangle_count_karate(spark, karate):
     _, edf = karate
     assert triangles_df(edf).count() == 45  # known for Zachary's club
-
-
-def test_k_core_oracle_against_kernel(spark, karate):
-    ug, edf = karate
-    from repro.graphs.kcore import k_core_nodes
-
-    for k in (2, 3, 4):
-        core_edges = k_core_df(edf, k)
-        got_nodes = set()
-        for r in core_edges.select("u", "v").collect():
-            got_nodes |= {r.u, r.v}
-        exp = set(k_core_nodes(ug.edges, ug.n, k).tolist())
-        assert got_nodes == exp
-
-
-def test_k_core_empty_when_k_too_big(spark, karate):
-    _, edf = karate
-    assert k_core_df(edf, 50).count() == 0
 
 
 def test_probabilistic_density_matches_pandas(spark, karate):
