@@ -77,7 +77,6 @@ def expected_densest(
         tot = sum(w for inst, w in zip(insts, wts) if all(v in S for v in inst))
         return Fraction(tot, len(S))
 
-    hi = Fraction(sum(wts), 1)
     if notion == "edge":
         ce = np.array(insts, dtype=np.int64)
 
@@ -95,8 +94,8 @@ def expected_densest(
         def builder(alpha: Fraction):
             return build_pattern_network(n, groups, len(insts[0]), alpha)
 
-    # Densities are (Σ int weights)/|S|: gap ≥ 1/n² in weight units —
-    # goldberg_search's termination rule applies unchanged.
-    rho, witness = goldberg_search(builder, n, lo, witness, hi, density_of)
+    # Densities are (Σ int weights)/|S|, so every α the search visits is
+    # an achieved density with denominator ≤ n, however large the weights.
+    rho, witness, _ = goldberg_search(builder, n, lo, witness, density_of)
     nodes = frozenset(int(ids[v]) for v in witness)
     return nodes, float(rho) / SCALE

@@ -171,16 +171,11 @@ def all_densest_edge(
         in_peel[peel] = True
         peel = k_core_nodes(ce[in_peel[ce[:, 0]] & in_peel[ce[:, 1]]], n, k)
     witness = set(np.searchsorted(ids2, peel).tolist())
-    lo = density_of(witness)
-
-    def builder(alpha: Fraction):
-        return build_edge_network(ce2, n2, alpha)
-
-    hi = Fraction(n2 - 1, 2) + 1 if n2 >= 2 else Fraction(1)
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    # Exact enumeration at α = ρ*.
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
+    # Exact enumeration on the search's last residual, at α = ρ*.
+    rho, _, (net, s, t, vid, _total) = goldberg_search(
+        lambda alpha: build_edge_network(ce2, n2, alpha),
+        n2, density_of(witness), witness, density_of,
+    )
     vid_of = {vid[i]: int(ids[ids2[i]]) for i in range(n2)}
     subs, union_nodes, truncated = _enumerate_from_residual(
         net, s, t, vid_of, max_enum
@@ -214,14 +209,10 @@ def _all_densest_instances(
         return Fraction(cnt, len(S))
 
     lo, witness, _, _, _ = instance_peel(insts2, n2)
-    hi = Fraction(len(insts2), 1)
-
-    def builder(alpha: Fraction):
-        return build_pattern_network(n2, groups, len(insts[0]), alpha)
-
-    rho, _ = goldberg_search(builder, n2, lo, witness, hi, density_of)
-    net, s, t, vid, _total = builder(rho)
-    net.max_flow(s, t)
+    rho, _, (net, s, t, vid, _total) = goldberg_search(
+        lambda alpha: build_pattern_network(n2, groups, len(insts[0]), alpha),
+        n2, lo, witness, density_of,
+    )
     vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
     subs, union_nodes, truncated = _enumerate_from_residual(
         net, s, t, vid_of, max_enum

@@ -56,11 +56,10 @@ def unpruned_all_densest(
 ) -> DensestResult:
     """``all_densest`` on the whole graph, without the core prune.
 
-    Goldberg's search starts from the trivial bounds (the whole graph's
-    density, achieved; the maximum instance degree over |V_ψ| above), and
-    the densest sets are enumerated from the residual of the whole
-    graph's network at α = ρ*: Goldberg's network for edge density,
-    Algorithm 7's grouped network otherwise.
+    The search starts from the whole graph's density, and the densest
+    sets are enumerated from the residual of a freshly built and flowed
+    network of the whole graph at α = ρ*: Goldberg's network for edge
+    density, Algorithm 7's grouped network otherwise.
     """
     ce, ids = relabel(canonical_edges(edges))
     insts = instances(ce, len(ids), notion)
@@ -87,12 +86,10 @@ def unpruned_all_densest(
         def builder(alpha: Fraction):
             return build_pattern_network(n, groups, len(insts[0]), alpha)
 
-    # h·c(S) = Σ_{v∈S} deg_S(v) ≤ |S|·max deg, so ρ* ≤ max deg / h.
-    max_deg = int(np.bincount(inst_arr.ravel()).max())
-    rho, _ = goldberg_search(
-        builder, n, Fraction(len(insts), n), set(range(n)),
-        Fraction(max_deg, inst_arr.shape[1]), density_of,
+    rho, _, _ = goldberg_search(
+        builder, n, Fraction(len(insts), n), set(range(n)), density_of
     )
+    # A fresh network and flow at ρ*, independent of the search's residual.
     net, s, t, vid, _total = builder(rho)
     net.max_flow(s, t)
     vid_of = {vid[i]: int(ids[i]) for i in range(n)}

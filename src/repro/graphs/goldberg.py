@@ -1,4 +1,4 @@
-"""Exact maximum-density computation via Goldberg-style binary search.
+"""Exact maximum-density computation via Dinkelbach's iteration.
 
 Every density notion shares one skeleton: a flow network parameterized
 by a rational guess α = a/b, built with *integer* capacities
@@ -6,10 +6,13 @@ by a rational guess α = a/b, built with *integer* capacities
 exists iff the min s-t cut is strictly below the total capacity out of
 s; the residual source side then witnesses such a subgraph.
 
-Distinct achievable densities are fractions with denominator ≤ n, so two
-of them differ by at least 1/n²; the search keeps an *achieved* lower
-bound (with witness) and a proven upper bound, and stops once the gap is
-below 1/n² — at that point the lower bound IS the optimum ρ*.
+The search (Dinkelbach 1967; Goldberg 1984) sets α to the density of
+the best witness so far, starting from the peel's. A cut below the total
+yields a strictly denser witness and a new α; a flow equal to the total
+certifies α = ρ*, and that last network, with its max-flow residual at
+α = ρ*, is exactly what the densest-subgraph enumeration needs. Every α
+is an achieved density, so its denominator is at most n and the
+capacities stay small integers.
 
 Network builders (paper references):
 * edge density       — Goldberg 1984 / Chang & Qiao WWW'20 (Example 4);
@@ -27,14 +30,15 @@ import numpy as np
 
 from .maxflow import FlowNetwork
 
-# A builder returns (net, s, t, v_node_ids) where v_node_ids[i] is the
-# network node id of graph node i; plus the total capacity out of s.
-Builder = Callable[[Fraction], tuple[FlowNetwork, int, int, list[int], int]]
+# (net, s, t, v_node_ids, total): v_node_ids[i] is the network node id
+# of graph node i, and total the capacity out of s.
+Network = tuple[FlowNetwork, int, int, list[int], int]
+Builder = Callable[[Fraction], Network]
 
 
 def build_edge_network(
     edges: np.ndarray, n: int, alpha: Fraction, weights: np.ndarray | None = None
-) -> tuple[FlowNetwork, int, int, list[int], int]:
+) -> Network:
     """Goldberg network for (weighted) edge density, scaled to integers.
 
     Nodes: s=0, t=1, graph node v ↦ 2+v. Capacities (×b for α = a/b):
@@ -64,7 +68,7 @@ def build_pattern_network(
     groups: dict[frozenset[int], int],
     pattern_size: int,
     alpha: Fraction,
-) -> tuple[FlowNetwork, int, int, list[int], int]:
+) -> Network:
     """Algorithm 7: flow network for h-clique or pattern density.
 
     Instances are grouped by node set; ``groups`` maps each node set to
@@ -101,32 +105,27 @@ def goldberg_search(
     n: int,
     lo: Fraction,
     lo_witness: set[int],
-    hi: Fraction,
     density_of: Callable[[set[int]], Fraction],
-) -> tuple[Fraction, set[int]]:
-    """Binary-search the maximum density; returns (ρ*, a densest witness).
+) -> tuple[Fraction, set[int], Network]:
+    """Dinkelbach's iteration for the maximum density.
 
-    Invariants: ``lo`` is always an *achieved* density (witness kept),
-    ``hi`` upper-bounds every achievable density. Stops when hi − lo <
-    1/n² ≤ min gap between distinct achievable densities — at that point
-    any density > lo would exceed hi, so lo = ρ* and the witness is a
-    densest subgraph.
+    ``lo`` is the density of ``lo_witness``. Each step runs max-flow on
+    the network at α = ``lo``: a cut below the total exposes a source
+    side of density > α, which becomes the new ``lo`` and witness; a
+    flow equal to the total proves no subgraph is denser than ``lo``.
+    Each step strictly raises ``lo`` and a graph has finitely many
+    achievable densities, so the loop ends, at lo = ρ*.
+
+    Returns ``(ρ*, a densest witness, (net, s, t, vid, total))``; the
+    network already holds its max-flow residual at α = ρ*.
     """
     witness = set(lo_witness)
-    if n < 2:
-        return lo, witness
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        alpha = (lo + hi) / 2
-        net, s, t, vid, total = builder(alpha)
-        flow = net.max_flow(s, t)
-        if flow < total:
-            side = net.min_cut_source_side(s)
-            cand = {v for v in range(n) if vid[v] in side}
-            assert cand, "feasible cut must expose a non-trivial source side"
-            witness = cand
-            lo = density_of(cand)
-            assert lo > alpha
-        else:
-            hi = alpha
-    return lo, witness
+    while True:
+        net, s, t, vid, total = builder(lo)
+        if net.max_flow(s, t) == total:
+            return lo, witness, (net, s, t, vid, total)
+        side = net.min_cut_source_side(s)
+        cand = {v for v in range(n) if vid[v] in side}
+        assert cand, "feasible cut must expose a non-trivial source side"
+        alpha, lo, witness = lo, density_of(cand), cand
+        assert lo > alpha

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro import datasets
+from repro.baselines.eds import expected_densest
 from repro.core.sampling import sample_block
 from repro.graphs.alldense import all_densest, all_densest_edge
 from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest
 from repro.graphs.graph import canonical_edges
+from repro.graphs.maxflow import FlowNetwork
 
 NOTIONS = ["edge", "clique:3", "clique:4", "2-star", "3-star", "c3-star", "diamond"]
 
@@ -169,6 +171,8 @@ CORE_PRUNE_CASES = [
     ("karate_club", "mc", 200, "clique:3"),
     ("intel_lab", "mc", 64, "clique:3"),
     ("karate_club", "mc", 200, "2-star"),
+    ("intel_lab", "mc", 32, "2-star"),
+    ("lastfm", "mc", 4, "edge"),
 ]
 
 
@@ -182,6 +186,8 @@ CORE_PRUNE_CASES = [
         "karate_club-mc-200-clique:3",
         "intel_lab-mc-64-clique:3",
         "karate_club-mc-200-2-star",
+        "intel_lab-mc-32-2-star",
+        "lastfm-mc-4",
     ],
 )
 def test_core_prune_keeps_every_output(dataset, method, theta, notion):
@@ -195,3 +201,39 @@ def test_core_prune_keeps_every_output(dataset, method, theta, notion):
         assert got.max_sized == exp.max_sized, w
         assert set(got.subgraphs) == set(exp.subgraphs), w
         assert got.truncated == exp.truncated, w
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """A one-element list counting ``FlowNetwork.max_flow`` calls."""
+    calls = [0]
+    max_flow = FlowNetwork.max_flow
+
+    def counting(self, s, t):
+        calls[0] += 1
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counting)
+    return calls
+
+
+@pytest.mark.parametrize("notion", ["edge", "clique:3"])
+def test_search_and_enumeration_share_few_flows(flow_calls, notion):
+    """The density search needs few max-flows, and enumeration none of its own.
+
+    K4 plus a pendant: the peel witness, K4, is already densest, so the
+    one flow that certifies ρ* is also the one enumeration reads.
+    """
+    all_densest(np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]]), notion)
+    assert flow_calls[0] == 1
+    ug = datasets.karate_club()
+    masks, _, _ = sample_block(ug.probs, 0, 200, 0, "mc", 200)
+    flow_calls[0] = 0
+    for w in range(200):
+        all_densest(ug.edges[masks[w]], notion)
+    assert flow_calls[0] / 200 <= 2.5
+
+
+def test_eds_search_needs_few_flows(flow_calls):
+    expected_densest(datasets.intel_lab(), "clique:3")
+    assert flow_calls[0] <= 3

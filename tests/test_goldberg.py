@@ -1,5 +1,7 @@
-"""Goldberg binary search + flow-network builders: exact ρ* and witnesses."""
+"""Dinkelbach density search + flow-network builders: exact ρ*, witnesses,
+and the max-flow certificate the search ends on."""
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,21 +26,53 @@ def random_graph(seed, n=8, p=0.5):
     return canonical_edges(np.array(edges).reshape(-1, 2)), n
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_edge_density_search_matches_brute(seed):
+def certified_search(builder, n, lo, witness, density_of):
+    """ρ* from ``goldberg_search``, after checking what it certifies.
+
+    The returned network holds a maximum flow (no augmenting path is
+    left) whose value out of s is the total capacity, and the returned
+    witness attains ρ*.
+    """
+    rho, w, (net, s, t, _vid, total) = goldberg_search(
+        builder, n, lo, witness, density_of
+    )
+    assert sum(net.cap[eid ^ 1] for eid in net.head[s]) == total
+    assert net.max_flow(s, t) == 0
+    assert density_of(w) == rho
+    return rho
+
+
+# Integer weights up to 10⁶ are the EDS regime (probabilities scaled by
+# 10⁶); unit-weight cases keep their ids from before weights existed.
+EDGE_CASES = [pytest.param(seed, 1, id=str(seed)) for seed in range(10)] + [
+    pytest.param(seed, 10**6, id=f"w1e6-{seed}") for seed in range(10)
+]
+
+
+@pytest.mark.parametrize("seed, max_weight", EDGE_CASES)
+def test_edge_density_search_matches_brute(seed, max_weight):
     e, n = random_graph(seed)
-    rho_b, _ = brute_all_densest(e, "edge")
-    lo, witness = charikar_peel(e, n)
+    if max_weight == 1:
+        w = np.ones(len(e), dtype=np.int64)
+        lo, witness = charikar_peel(e, n)
+    else:
+        w = np.random.default_rng(seed).integers(1, max_weight + 1, len(e))
+        lo, witness, _, _, _ = instance_peel(
+            [tuple(x) for x in e.tolist()], n, w
+        )
 
     def density_of(S):
-        return Fraction(induced_edge_count(e, S), len(S))
+        inside = np.isin(e, list(S)).all(axis=1)
+        return Fraction(int(w[inside].sum()), len(S))
 
-    rho, w = goldberg_search(
-        lambda a: build_edge_network(e, n, a), n, lo, witness,
-        Fraction(n - 1, 2) + 1, density_of,
+    rho = certified_search(
+        lambda a: build_edge_network(e, n, a, w), n, lo, witness, density_of
     )
-    assert rho == rho_b
-    assert density_of(w) == rho_b  # witness is itself densest
+    # ρ* = max over every node subset S of w(S)/|S|.
+    assert rho == max(
+        density_of(set(S))
+        for r in range(1, n + 1) for S in combinations(range(n), r)
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -54,11 +88,11 @@ def test_clique_density_search_matches_brute(seed):
     def density_of(S):
         return Fraction(sum(1 for c in cl if all(v in S for v in c)), len(S))
 
-    rho, w = goldberg_search(
+    rho = certified_search(
         lambda a: build_pattern_network(n, groups, 3, a), n, lo, witness,
-        Fraction(len(cl), 1), density_of,
+        density_of,
     )
-    assert rho == rho_b and density_of(w) == rho_b
+    assert rho == rho_b
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -78,11 +112,11 @@ def test_pattern_density_search_matches_brute(seed, name):
             sum(1 for c in insts if all(v in S for v in c)), len(S)
         )
 
-    rho, w = goldberg_search(
+    rho = certified_search(
         lambda a: build_pattern_network(n, groups, psz, a), n, lo, witness,
-        Fraction(len(insts), 1), density_of,
+        density_of,
     )
-    assert rho == rho_b and density_of(w) == rho_b
+    assert rho == rho_b
 
 
 def test_edge_network_total_capacity_scaled():
@@ -106,9 +140,8 @@ def test_search_trivial_graph():
         return Fraction(induced_edge_count(e, S), len(S))
 
     lo, witness = charikar_peel(e, 2)
-    rho, w = goldberg_search(
-        lambda a: build_edge_network(e, 2, a), 2, lo, witness,
-        Fraction(2), density_of,
+    rho, w, _ = goldberg_search(
+        lambda a: build_edge_network(e, 2, a), 2, lo, witness, density_of
     )
     assert rho == Fraction(1, 2) and w == {0, 1}
 
@@ -122,8 +155,7 @@ def test_search_on_known_k5():
     def density_of(S):
         return Fraction(induced_edge_count(e, S), len(S))
 
-    rho, w = goldberg_search(
-        lambda a: build_edge_network(e, 5, a), 5, lo, witness,
-        Fraction(3), density_of,
+    rho, w, _ = goldberg_search(
+        lambda a: build_edge_network(e, 5, a), 5, lo, witness, density_of
     )
     assert rho == Fraction(2) and w == set(range(5))
