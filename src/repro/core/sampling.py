@@ -7,8 +7,12 @@ Tables XIII/XIV measure (runtime / memory at equal θ):
 * ``mc``  — Monte Carlo: one uniform per edge per world.
 * ``lp``  — Lazy Propagation: per edge, geometric skip counters give the
   next world index in which the edge appears; state is per-edge counters
-  (extra memory, same marginals). Within a Spark partition the counter
-  state is re-initialized per world block, which preserves independence.
+  (extra memory, same marginals). The counters advance in rounds: each
+  round marks every edge whose counter is still inside the block and
+  draws all their next skips as one vector, so an edge costs one draw
+  per occurrence plus its first, where MC costs one per world.
+  Within a Spark partition the counter state is re-initialized per world
+  block, which preserves independence.
 * ``rss`` — Recursive Stratified Sampling: the sample space is
   partitioned into prefix strata over the r highest-probability edges;
   samples are allocated to strata proportionally and each sample carries
@@ -46,21 +50,23 @@ def _lp_block(
     b = hi - lo
     m = len(probs)
     masks = np.zeros((b, m), dtype=bool)
-    # For each edge, walk its occurrence worlds with geometric skips.
-    # next_occ[j] is the lazily-advanced pointer — the per-edge counter
-    # state that costs LP its extra memory. log1p(-p) = -inf for p = 1
-    # makes the skip 0 (edge present every world), which is correct —
-    # just silence the divide warning.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logq = np.log1p(-np.minimum(probs, 1.0 - 1e-300))
-        next_occ = np.floor(np.log1p(-g.random(m)) / logq).astype(np.int64)
-    for j in range(m):
-        t = int(next_occ[j])
-        lq = logq[j]
-        while t < b:
-            masks[t, j] = True
-            t += 1 + int(np.floor(np.log1p(-g.random()) / lq))
-        next_occ[j] = t
+    # next_occ[j] is edge j's lazily advanced counter — the next world of
+    # the block it appears in, and the per-edge state that costs LP its
+    # extra memory. A geometric skip floor(log(1-u)/log(1-p)) jumps the
+    # worlds it is absent from (log1p(-1) = -inf makes every skip 0);
+    # capping it at b keeps a tiny p from overflowing int64. Each round
+    # marks every edge still inside the block and draws all their next
+    # skips in one vector, so draws come in round order, not edge order,
+    # and at most b rounds follow the first draw.
+    with np.errstate(divide="ignore"):
+        logq = np.log1p(-probs)
+    next_occ = np.minimum(np.floor(np.log1p(-g.random(m)) / logq), b).astype(np.int64)
+    active = np.flatnonzero(next_occ < b)
+    while active.size:
+        masks[next_occ[active], active] = True
+        skip = np.minimum(np.floor(np.log1p(-g.random(active.size)) / logq[active]), b)
+        next_occ[active] += 1 + skip.astype(np.int64)
+        active = active[next_occ[active] < b]
     state = probs.nbytes + next_occ.nbytes + 8 * m  # counters + visit tallies
     return masks, np.full(b, 1.0), state
 

@@ -14,15 +14,23 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
 
     Output is sorted lexicographically, so it is a canonical form: two
     edge lists describing the same simple graph canonicalize identically.
+    An input already in that form (every sampled world of a canonical
+    graph) is recognised in O(m); any other is lexsorted by (u, v) and
+    deduplicated, with no pair encoding that could overflow for large ids.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if e.size == 0:
-        return e.reshape(0, 2)
-    e = e[e[:, 0] != e[:, 1]]
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
-    e = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return e
+    dlo, dhi = np.diff(lo), np.diff(hi)
+    if not ((lo < hi).all() and ((dlo > 0) | ((dlo == 0) & (dhi > 0))).all()):
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        new = np.ones(lo.size, dtype=bool)
+        new[1:] = (np.diff(lo) != 0) | (np.diff(hi) != 0)
+        lo, hi = lo[new], hi[new]
+    return np.stack([lo, hi], axis=1)
 
 
 def nodes_of(edges: np.ndarray) -> np.ndarray:
@@ -34,16 +42,18 @@ def nodes_of(edges: np.ndarray) -> np.ndarray:
 
 
 def relabel(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel node ids to ``0..n-1``.
+    """Relabel node ids to ``0..n-1``, keeping their order.
 
     Returns ``(compact_edges, id_map)`` where ``id_map[i]`` is the
-    original id of compact node ``i``.
+    original id of compact node ``i``. One sort does both: the inverse
+    of ``np.unique`` is the compact edge array, and nothing is sized by
+    the largest id.
     """
-    ids = nodes_of(edges)
-    if ids.size == 0:
-        return np.empty((0, 2), dtype=np.int64), ids
-    compact = np.searchsorted(ids, edges)
-    return compact.astype(np.int64), ids
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+    ids, inv = np.unique(e, return_inverse=True)
+    return inv.reshape(e.shape).astype(np.int64, copy=False), ids
 
 
 def degrees(edges: np.ndarray, n: int) -> np.ndarray:
@@ -53,15 +63,6 @@ def degrees(edges: np.ndarray, n: int) -> np.ndarray:
         np.add.at(deg, edges[:, 0], 1)
         np.add.at(deg, edges[:, 1], 1)
     return deg
-
-
-def adjacency(edges: np.ndarray, n: int) -> list[np.ndarray]:
-    """Sorted neighbor arrays per compact node (for set-intersections)."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return [np.array(sorted(a), dtype=np.int64) for a in adj]
 
 
 def adjacency_sets(edges: np.ndarray, n: int) -> list[set[int]]:
@@ -81,14 +82,3 @@ def induced_edge_count(edges: np.ndarray, node_set: set[int] | frozenset[int]) -
             cnt += 1
     return cnt
 
-
-def induced_subgraph(edges: np.ndarray, node_set: set[int] | frozenset[int]) -> np.ndarray:
-    """Edges with both endpoints in ``node_set`` (original labels kept)."""
-    if len(node_set) == 0 or edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    keep = np.fromiter(
-        ((int(u) in node_set and int(v) in node_set) for u, v in edges),
-        dtype=bool,
-        count=len(edges),
-    )
-    return edges[keep]

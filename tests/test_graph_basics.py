@@ -3,12 +3,10 @@ import numpy as np
 import pytest
 
 from repro.graphs.graph import (
-    adjacency,
     adjacency_sets,
     canonical_edges,
     degrees,
     induced_edge_count,
-    induced_subgraph,
     nodes_of,
     relabel,
 )
@@ -35,6 +33,71 @@ def test_canonical_idempotent(seed):
     e = g.integers(0, 10, size=(30, 2))
     once = canonical_edges(e)
     assert np.array_equal(once, canonical_edges(once))
+
+
+def _canonical_reference(edges):
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size == 0:
+        return e.reshape(0, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+def _relabel_reference(edges):
+    ids = np.unique(np.asarray(edges, dtype=np.int64))
+    if ids.size == 0:
+        return np.empty((0, 2), dtype=np.int64), ids
+    return np.searchsorted(ids, edges).astype(np.int64), ids
+
+
+def _assert_matches_reference(e):
+    out, ref = canonical_edges(e), _canonical_reference(e)
+    assert out.dtype == np.int64 and out.shape == ref.shape
+    assert np.array_equal(out, ref)
+    (ce, ids), (rce, rids) = relabel(e), _relabel_reference(e)
+    assert ce.dtype == np.int64 and ce.shape == rce.shape
+    assert np.array_equal(ce, rce) and np.array_equal(ids, rids)
+
+
+BIG = 2**40
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        np.empty((0, 2), dtype=np.int64),
+        [[3, 3], [7, 7], [3, 3]],
+        [[0, 1], [0, 2], [1, 2], [2, 9]],
+        [[0, 1], [0, 2], [0, 2], [1, 2]],
+        [[2, 1], [1, 2], [3, 3], [0, 5], [5, 0]],
+        # ids near 2**40: an id-sized array or a pair code u*(max+1)+v
+        # would exhaust memory or overflow int64.
+        [[BIG + 5, BIG - 3], [BIG - 3, BIG + 5], [BIG + 1, BIG + 1], [BIG + 9, BIG]],
+        [[BIG - 3, BIG], [BIG - 3, BIG + 5], [BIG, BIG + 9]],
+    ],
+    ids=[
+        "empty", "self-loops-only", "sorted", "sorted-with-duplicate",
+        "dups-reversed-loops", "near-2^40", "near-2^40-sorted",
+    ],
+)
+def test_normalisation_matches_reference_cases(edges):
+    _assert_matches_reference(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def test_normalisation_matches_reference_random():
+    """500 random arrays with duplicates, reversed pairs and self-loops;
+    a third are already canonical (the O(m) fast path); half use ids
+    near 2**40."""
+    g = np.random.default_rng(0)
+    for _ in range(500):
+        base = BIG - 20 if g.random() < 0.5 else 0
+        span = int(g.integers(1, 30))  # span 1: only self-loops
+        e = base + g.integers(0, span, size=(int(g.integers(0, 40)), 2))
+        if g.random() < 1 / 3:
+            e = _canonical_reference(e)
+        _assert_matches_reference(e)
 
 
 def test_nodes_of():
@@ -65,13 +128,6 @@ def test_degrees_isolated_node():
     assert degrees(e, 4).tolist() == [1, 1, 0, 0]
 
 
-def test_adjacency_sorted():
-    e = np.array([[0, 2], [0, 1], [1, 2]])
-    adj = adjacency(e, 3)
-    assert adj[0].tolist() == [1, 2]
-    assert adj[2].tolist() == [0, 1]
-
-
 def test_adjacency_sets():
     e = np.array([[0, 2], [0, 1]])
     adj = adjacency_sets(e, 3)
@@ -83,17 +139,6 @@ def test_induced_edge_count():
     assert induced_edge_count(e, {0, 1, 2}) == 3
     assert induced_edge_count(e, {2, 3}) == 1
     assert induced_edge_count(e, {3}) == 0
-
-
-def test_induced_subgraph_keeps_labels():
-    e = np.array([[0, 1], [1, 2], [2, 3]])
-    sub = induced_subgraph(e, {1, 2, 3})
-    assert sub.tolist() == [[1, 2], [2, 3]]
-
-
-def test_induced_subgraph_empty_set():
-    e = np.array([[0, 1]])
-    assert induced_subgraph(e, set()).shape == (0, 2)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -30,6 +30,38 @@ def test_mc_deterministic_in_seed():
     assert np.array_equal(a, b)
 
 
+def test_lp_deterministic_in_seed():
+    probs = np.array([0.05, 0.3, 0.6, 1.0])
+    a, _, _ = sample_block(probs, 5, 37, 7, "lp")
+    b, _, _ = sample_block(probs, 5, 37, 7, "lp")
+    assert np.array_equal(a, b)
+
+
+# p = 1 draws only zero skips: the counter then moves solely by the
+# "1 +", so a sampler that lost it would never leave the block.
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 1.0])
+def test_lp_worlds_and_edges_independent(p):
+    """LP's skip counters give independent worlds within a block, and
+    independent edges within a world: joint frequencies ≈ p², and each
+    block's occurrence count is Binomial(8, p)."""
+    blocks, b = 4000, 8
+    probs = np.full(2, p)
+    masks = np.stack(
+        [sample_block(probs, i * b, (i + 1) * b, 5, "lp")[0] for i in range(blocks)]
+    )  # (blocks, b, edges)
+
+    def close(x, expect, var, n):
+        return abs(x - expect) <= 5 * np.sqrt(var / n) + 1e-12
+
+    next_world = masks[:, 1:, :] & masks[:, :-1, :]
+    assert close(next_world.mean(), p * p, p * p * (1 - p * p), next_world.size)
+    other_edge = masks[:, :, 0] & masks[:, :, 1]
+    assert close(other_edge.mean(), p * p, p * p * (1 - p * p), other_edge.size)
+    counts = masks.sum(axis=1).ravel()
+    assert close(counts.mean(), b * p, b * p * (1 - p), counts.size)
+    assert abs(counts.var() - b * p * (1 - p)) <= 0.1 * b * p * (1 - p) + 1e-12
+
+
 def test_block_split_consistency_mc():
     """Contiguous blocks must reproduce the same worlds as one big block."""
     probs = np.array([0.3, 0.6, 0.9])
@@ -43,6 +75,12 @@ def test_prob_one_edges_always_present_lp():
     probs = np.array([1.0, 0.5])
     masks, _, _ = sample_block(probs, 0, 50, 1, "lp")
     assert masks[:, 0].all()
+
+
+def test_tiny_prob_edges_absent_lp():
+    """A skip of ~1e30 worlds must not wrap around int64."""
+    masks, _, _ = sample_block(np.array([1e-30, 0.5]), 0, 50, 1, "lp")
+    assert not masks[:, 0].any()
 
 
 def test_prob_one_edges_always_present_mc():
