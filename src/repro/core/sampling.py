@@ -11,43 +11,51 @@ Tables XIII/XIV measure (runtime / memory at equal θ):
   round marks every edge whose counter is still inside the block and
   draws all their next skips as one vector, so an edge costs one draw
   per occurrence plus its first, where MC costs one per world.
-  Within a Spark partition the counter state is re-initialized per world
-  block, which preserves independence.
+  The counters re-start for each logical block of ``BLOCK`` worlds,
+  which preserves independence between blocks.
 * ``rss`` — Recursive Stratified Sampling: the sample space is
   partitioned into prefix strata over the r highest-probability edges;
   samples are allocated to strata proportionally and each sample carries
   an importance weight Pr(stratum)·(θ/θ_stratum)/θ so that weighted
   frequency estimates stay unbiased.
 
+World ids fall into fixed logical blocks of ``BLOCK`` worlds: block j
+covers ids [BLOCK·j, BLOCK·j + BLOCK) and draws from its own generator,
+seeded by (seed, BLOCK·j). So world w depends only on (seed, w), not on
+how Spark cuts ids into partitions and Arrow batches, and every query
+on one seed sees the same worlds.
+
 ``sample_block`` is the executor-side entry point: given a contiguous
-block of world ids it returns the boolean edge masks and per-world
-weights. ``state_bytes`` reports the sampler bookkeeping footprint for
-the memory column of Tables XIII/XIV.
+range of world ids it draws the logical blocks the range overlaps and
+returns the range's boolean edge masks and per-world weights.
+``state_bytes`` reports the sampler bookkeeping footprint for the
+memory column of Tables XIII/XIV.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 METHODS = ("mc", "lp", "rss")
+BLOCK = 8  # worlds per logical block
 
 
-def _rng(seed: int, lo: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, lo]))
+def _rng(seed: int, start: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, start]))
 
 
 def _mc_block(
-    probs: np.ndarray, lo: int, hi: int, seed: int
+    probs: np.ndarray, g: np.random.Generator, start: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    g = _rng(seed, lo)
-    masks = g.random((hi - lo, len(probs))) < probs[None, :]
-    return masks, np.full(hi - lo, 1.0), probs.nbytes
+    masks = g.random((BLOCK, len(probs))) < probs[None, :]
+    return masks, np.full(BLOCK, 1.0), probs.nbytes
 
 
 def _lp_block(
-    probs: np.ndarray, lo: int, hi: int, seed: int
+    probs: np.ndarray, g: np.random.Generator, start: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    g = _rng(seed, lo)
-    b = hi - lo
+    b = BLOCK
     m = len(probs)
     masks = np.zeros((b, m), dtype=bool)
     # next_occ[j] is edge j's lazily advanced counter — the next world of
@@ -101,29 +109,26 @@ def _rss_plan(probs: np.ndarray, theta: int, r: int) -> list[tuple[int, int, flo
 
 def _rss_block(
     probs: np.ndarray,
-    lo: int,
-    hi: int,
-    seed: int,
+    g: np.random.Generator,
+    start: int,
     theta: int,
-    r: int = 8,
+    plan: list[tuple[int, int, float]],
+    idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    r = min(r, len(probs))
-    plan = _rss_plan(probs, theta, r)
-    idx = np.argsort(-probs)[:r]
+    # The plan has no stratum past θ, so the last block stops there.
+    b = min(BLOCK, theta - start)
     # world id → (stratum, fixed edge states) via the cumulative plan
     bounds = np.cumsum([nj for _, nj, _ in plan])
-    g = _rng(seed, lo)
-    b = hi - lo
     masks = g.random((b, len(probs))) < probs[None, :]
     weights = np.empty(b, dtype=np.float64)
-    for row, wid in enumerate(range(lo, hi)):
-        si = int(np.searchsorted(bounds, wid, side="right"))
+    for row in range(b):
+        si = int(np.searchsorted(bounds, start + row, side="right"))
         j, _nj, w = plan[si]
         weights[row] = w
         masks[row, idx[:j]] = False  # prefix absent
         if j < len(idx):
             masks[row, idx[j]] = True  # j-th present
-    state = probs.nbytes + 8 * 3 * len(plan) + idx.nbytes + 64 * r  # strata tables
+    state = probs.nbytes + 8 * 3 * len(plan) + idx.nbytes + 64 * len(idx)  # strata tables
     return masks, weights, state
 
 
@@ -135,13 +140,27 @@ def sample_block(
     method: str = "mc",
     theta: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Edge masks + importance weights + sampler-state bytes for worlds [lo, hi)."""
+    """Edge masks + importance weights + sampler-state bytes for worlds [lo, hi).
+
+    World w is the same for every range that contains it (module doc).
+    """
     if method == "mc":
-        return _mc_block(probs, lo, hi, seed)
-    if method == "lp":
-        return _lp_block(probs, lo, hi, seed)
-    if method == "rss":
+        draw = _mc_block
+    elif method == "lp":
+        draw = _lp_block
+    elif method == "rss":
         if theta is None:
             raise ValueError("rss needs total theta for stratum allocation")
-        return _rss_block(probs, lo, hi, seed, theta)
-    raise ValueError(f"unknown sampling method {method!r}")
+        r = min(8, len(probs))  # strata over the 8 most probable edges
+        draw = partial(
+            _rss_block, theta=theta, plan=_rss_plan(probs, theta, r),
+            idx=np.argsort(-probs)[:r],
+        )
+    else:
+        raise ValueError(f"unknown sampling method {method!r}")
+    first = lo - lo % BLOCK
+    parts = [draw(probs, _rng(seed, s), s) for s in range(first, hi, BLOCK)]
+    cut = slice(lo - first, hi - first)
+    masks = np.concatenate([p[0] for p in parts])[cut]
+    weights = np.concatenate([p[1] for p in parts])[cut]
+    return masks, weights, max(p[2] for p in parts)

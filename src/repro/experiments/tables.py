@@ -138,14 +138,17 @@ def table3_nds_compare(
         nds = res.best_set
         eds, core, truss = _baseline_sets(ug)
         probs = estimate_set_probs(
-            spark, ug, [eds, core, truss], theta=th, seed=seed + 1
+            spark, ug, [eds, core, truss], theta=th, seed=seed
         )
         rows.append(
             dict(
                 dataset=name,
                 # NDS γ̂ comes from Algorithm 5's own run (the paper
-                # reports the estimated containment of the returned set);
-                # baselines are scored on an independent sample.
+                # reports the estimated containment of the returned set).
+                # The baselines are scored on that same sample (same
+                # seed, so the same worlds): every number in the row
+                # counts the same worlds, and a gap is not sampling noise
+                # between two samples.
                 cont_nds=res.best_gamma,
                 cont_eds=probs.gamma_hat[0],
                 cont_core=probs.gamma_hat[1], cont_truss=probs.gamma_hat[2],
@@ -172,13 +175,14 @@ def table4_mpds_compare(
         mpds = res.best_set
         eds, core, truss = _baseline_sets(ug)
         probs = estimate_set_probs(
-            spark, ug, [eds, core, truss], theta=th, seed=seed + 1
+            spark, ug, [eds, core, truss], theta=th, seed=seed
         )
         rows.append(
             dict(
                 dataset=name,
                 # MPDS τ̂ from Algorithm 1's own run; baselines scored on
-                # an independent sample (see table3 comment).
+                # the same sample (see table3 comment), where no set can
+                # score above the MPDS unless a world hit max_enum.
                 dsp_mpds=res.best_tau,
                 dsp_eds=probs.tau_hat[0],
                 dsp_core=probs.tau_hat[1], dsp_truss=probs.tau_hat[2],
@@ -263,7 +267,8 @@ def table7_mpds_vs_dds(
         max_enum = 20_000 if name == "lastfm" else 100_000
         res = topk_mpds(spark, ug, k=1, theta=th, seed=seed, max_enum=max_enum)
         dds, _ = deterministic_densest(ug)
-        probs = estimate_set_probs(spark, ug, [dds], theta=th, seed=seed + 1)
+        # Scored on Algorithm 1's sample (see table3 comment).
+        probs = estimate_set_probs(spark, ug, [dds], theta=th, seed=seed)
         rows.append(
             dict(dataset=name, dsp_mpds=res.best_tau, dsp_dds=probs.tau_hat[0])
         )

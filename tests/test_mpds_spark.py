@@ -120,3 +120,41 @@ def test_graph_broadcast_once_per_context(spark, monkeypatch):
     other = NewContext()
     assert ug.broadcast(other) is ug.broadcast(other) is not first
     assert len(made) == 2
+
+
+def _ds_rows(df):
+    rows = df.filter(df.kind == "ds").select("world_id", "nodeset", "weight")
+    return sorted(tuple(r) for r in rows.collect())
+
+
+@pytest.mark.parametrize("method", ["mc", "lp", "rss"])
+def test_worlds_independent_of_partitioning(spark, method):
+    """A world's densest subgraphs do not depend on how Spark cuts the
+    world ids into partitions, nor on the Arrow batch size."""
+    ug = karate_club()
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+
+    def rows(**kw):
+        return _ds_rows(world_results_df(spark, ug, 20, seed=6, method=method, **kw))
+
+    ref = rows(n_partitions=1)
+    assert ref
+    for n in (3, 8):
+        assert rows(n_partitions=n) == ref
+    old = spark.conf.get(key)
+    try:
+        for batch in ("1", "10000"):
+            spark.conf.set(key, batch)
+            assert rows(n_partitions=3) == ref
+    finally:
+        spark.conf.set(key, old)
+
+
+def test_mpds_tau_equals_estimator_on_same_seed(spark):
+    """On one seed the estimator scores Algorithm 1's best set with the
+    same τ̂, since both see the same worlds (Table IV compares the MPDS
+    with the baselines on that footing)."""
+    ug = karate_club()
+    res = topk_mpds(spark, ug, k=1, theta=40, seed=0)
+    est = estimate_set_probs(spark, ug, [res.best_set], theta=40, seed=0)
+    assert est.tau_hat[0] == pytest.approx(res.best_tau, abs=1e-12)

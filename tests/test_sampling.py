@@ -116,3 +116,21 @@ def test_rss_high_prob_edges_stratified():
     masks, w, _ = sample_block(probs, 0, theta, 2, "rss", theta)
     est = (masks * w[:, None]).sum(axis=0) / theta
     assert np.abs(est - probs).max() < 0.05
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "cuts", [(), (5, 10), (7, 33), (8, 16, 24), (1, 2, 3), (42,), tuple(range(1, 43))]
+)
+def test_worlds_independent_of_block_split(method, cuts):
+    """World w depends only on (seed, w): any split of [0, θ) into
+    contiguous ranges, aligned to the logical block or not, down to single
+    worlds, gives the masks and weights of one full range. θ = 43 clips
+    RSS's last block at 3 worlds."""
+    theta = 43
+    probs = np.random.default_rng(4).uniform(0.05, 0.95, 30)
+    full_m, full_w, _ = sample_block(probs, 0, theta, 9, method, theta)
+    ends = (0, *cuts, theta)
+    parts = [sample_block(probs, a, b, 9, method, theta) for a, b in zip(ends, ends[1:])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), full_m)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), full_w)
