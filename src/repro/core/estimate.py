@@ -13,7 +13,6 @@ Also exact expected densities (no sampling, Theorem 7 / linearity).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
@@ -23,7 +22,7 @@ from pyspark.sql import functions as F
 from ..graphs.alldense import all_densest, instances
 from ..graphs.graph import relabel
 from ..graphs.patterns import instance_edges
-from .sampling import sample_block
+from .mpds import map_worlds
 from .uncertain import UncertainGraph
 
 
@@ -53,46 +52,32 @@ def estimate_set_probs(
     method: str = "mc",
 ) -> pd.DataFrame:
     """τ̂ and γ̂ for each candidate set; rows indexed by candidate order."""
-    sc = spark.sparkContext
-    bc = ug.broadcast(sc)
     cands = [frozenset(int(v) for v in c) for c in candidates]
     n_ids = max([ug.n, *(max(U) + 1 for U in cands if U)])
-    n_part = min(theta, sc.defaultParallelism * 2)
+    members = []
+    for U in cands:
+        member = np.zeros(n_ids, dtype=bool)
+        member[list(U)] = True
+        members.append(member)
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        edges, probs = bc.value
-        members = []
-        for U in cands:
-            member = np.zeros(n_ids, dtype=bool)
-            member[list(U)] = True
-            members.append(member)
-        for pdf in batches:
-            ids = pdf["id"].to_numpy()
-            if len(ids) == 0:
+    def solve(wid, we, w, state):
+        res = all_densest(we, notion, max_enum=1)
+        rows = []
+        for ci, (U, member) in enumerate(zip(cands, members)):
+            if not U:  # empty baseline set (e.g. empty truss)
+                rows.append((ci, 0.0, 0.0))
                 continue
-            lo, hi = int(ids.min()), int(ids.max()) + 1
-            masks, weights, _ = sample_block(probs, lo, hi, seed, method, theta)
-            rows = []
-            for wid in ids:
-                row = int(wid) - lo
-                we = edges[masks[row]]
-                w = float(weights[row])
-                res = all_densest(we, notion, max_enum=1)
-                for ci, U in enumerate(cands):
-                    if not U:  # empty baseline set (e.g. empty truss)
-                        rows.append((ci, 0.0, 0.0))
-                        continue
-                    dens = _induced_density(we, notion, members[ci])
-                    is_ds = int(res.rho > 0 and dens == res.rho)
-                    contained = int(bool(res.max_sized) and U <= res.max_sized)
-                    rows.append((ci, is_ds * w, contained * w))
-            yield pd.DataFrame(
-                rows, columns=["cand_id", "tau_w", "gamma_w"]
-            )
+            dens = _induced_density(we, notion, member)
+            is_ds = int(res.rho > 0 and dens == res.rho)
+            contained = int(bool(res.max_sized) and U <= res.max_sized)
+            rows.append((ci, is_ds * w, contained * w))
+        return rows
 
-    worlds = spark.range(0, theta, 1, n_part)
     out = (
-        worlds.mapInPandas(gen, "cand_id int, tau_w double, gamma_w double")
+        map_worlds(
+            spark, ug, theta, seed, method, solve,
+            "cand_id int, tau_w double, gamma_w double",
+        )
         .groupBy("cand_id")
         .agg(
             (F.sum("tau_w") / F.lit(float(theta))).alias("tau_hat"),

@@ -25,6 +25,7 @@ from pyspark.sql import functions as F
 from ..graphs.alldense import instances
 from ..graphs.graph import canonical_edges
 from ..graphs.patterns import instance_edges
+from .mpds import one_wave
 from .uncertain import UncertainGraph
 
 MAX_EXACT_EDGES = 26
@@ -84,7 +85,6 @@ def exact_tau(
     sc = spark.sparkContext
     bc = sc.broadcast((inst_masks, member, sub_sizes, logp, log1mp, m))
     starts = list(range(0, n_worlds, chunk))
-    n_part = min(len(starts), sc.defaultParallelism * 2)
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         inst_masks_, member_, sizes_, logp_, log1mp_, m_ = bc.value
@@ -121,7 +121,7 @@ def exact_tau(
                 yield out
 
     df = spark.createDataFrame(pd.DataFrame({"start": starts})).repartition(
-        n_part
+        one_wave(sc, len(starts))
     )
     agg = (
         df.mapInPandas(gen, "subset_id long, tau_part double, eed_part double")

@@ -36,23 +36,33 @@ def _key(nodes) -> str:
     return ",".join(str(v) for v in sorted(nodes))
 
 
-def world_results_df(
+def one_wave(sc, n_items: int) -> int:
+    """Partitions for a job over ``n_items`` rows: one Python task per core.
+
+    Every Python task pays a fixed start-up cost before its first row
+    (DESIGN.md §3), so a second wave of tasks costs more than it balances.
+    """
+    return min(n_items, sc.defaultParallelism)
+
+
+def map_worlds(
     spark: SparkSession,
     ug: UncertainGraph,
     theta: int,
-    notion: str = "edge",
-    seed: int = 0,
-    method: str = "mc",
-    all_subgraphs: bool = True,
-    heuristic: bool = False,
-    max_enum: int = 100_000,
+    seed: int,
+    method: str,
+    solve,
+    schema: str,
     n_partitions: int | None = None,
 ) -> DataFrame:
-    """Per-world densest-subgraph rows for θ sampled worlds (see module doc)."""
+    """One Spark job over θ sampled worlds.
+
+    ``solve(world_id, edges, weight, state_bytes)`` returns the rows of
+    one world, in the column order of ``schema``.
+    """
     sc = spark.sparkContext
     bc = ug.broadcast(sc)
-    if n_partitions is None:
-        n_partitions = min(theta, sc.defaultParallelism * 2)
+    columns = [field.split()[0] for field in schema.split(",")]
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         edges, probs = bc.value
@@ -67,51 +77,53 @@ def world_results_df(
             rows = []
             for wid in ids:
                 row = int(wid) - lo
-                we = edges[masks[row]]
-                w = float(weights[row])
-                if heuristic:
-                    hres = heuristic_dense(we, notion)
-                    subs = hres.subgraphs
-                    rho = float(hres.rho)
-                    max_sized = hres.best
-                    truncated = False
-                else:
-                    res = all_densest(we, notion, max_enum)
-                    subs = res.subgraphs
-                    rho = float(res.rho)
-                    max_sized = res.max_sized
-                    truncated = res.truncated
-                if not all_subgraphs and subs:
-                    # Table IX ablation: keep ONE randomly chosen densest
-                    # subgraph per world instead of all of them.
-                    g = np.random.default_rng(
-                        np.random.SeedSequence([seed, 7, int(wid)])
-                    )
-                    subs = [subs[int(g.integers(len(subs)))]]
-                for S in subs:
-                    rows.append(
-                        (int(wid), "ds", _key(S), len(S), rho,
-                         len(subs), truncated, w, state)
-                    )
-                if max_sized:
-                    rows.append(
-                        (int(wid), "max", _key(max_sized), len(max_sized),
-                         rho, len(subs), truncated, w, state)
-                    )
-                rows.append(
-                    (int(wid), "meta", "", 0, rho, len(subs), truncated,
-                     w, state)
+                rows.extend(
+                    solve(int(wid), edges[masks[row]], float(weights[row]), state)
                 )
-            yield pd.DataFrame(
-                rows,
-                columns=[
-                    "world_id", "kind", "nodeset", "set_size", "rho",
-                    "n_densest", "truncated", "weight", "state_bytes",
-                ],
-            )
+            yield pd.DataFrame(rows, columns=columns)
 
-    worlds = spark.range(0, theta, 1, n_partitions)
-    return worlds.mapInPandas(gen, schema=WORLD_SCHEMA)
+    n = n_partitions or one_wave(sc, theta)
+    return spark.range(0, theta, 1, n).mapInPandas(gen, schema=schema)
+
+
+def world_results_df(
+    spark: SparkSession,
+    ug: UncertainGraph,
+    theta: int,
+    notion: str = "edge",
+    seed: int = 0,
+    method: str = "mc",
+    all_subgraphs: bool = True,
+    heuristic: bool = False,
+    max_enum: int = 100_000,
+    n_partitions: int | None = None,
+) -> DataFrame:
+    """Per-world densest-subgraph rows for θ sampled worlds (see module doc)."""
+
+    def solve(wid, we, w, state):
+        if heuristic:
+            hres = heuristic_dense(we, notion)
+            subs, rho, max_sized = hres.subgraphs, float(hres.rho), hres.best
+            truncated = False
+        else:
+            res = all_densest(we, notion, max_enum)
+            subs, rho, max_sized = res.subgraphs, float(res.rho), res.max_sized
+            truncated = res.truncated
+        if not all_subgraphs and subs:
+            # Table IX ablation: keep ONE randomly chosen densest
+            # subgraph per world instead of all of them.
+            g = np.random.default_rng(np.random.SeedSequence([seed, 7, wid]))
+            subs = [subs[int(g.integers(len(subs)))]]
+        tail = (rho, len(subs), truncated, w, state)
+        rows = [(wid, "ds", _key(S), len(S), *tail) for S in subs]
+        if max_sized:
+            rows.append((wid, "max", _key(max_sized), len(max_sized), *tail))
+        rows.append((wid, "meta", "", 0, *tail))
+        return rows
+
+    return map_worlds(
+        spark, ug, theta, seed, method, solve, WORLD_SCHEMA, n_partitions
+    )
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Tiny graphs for exact-vs-approximate comparison (Table XV, Fig 17/18)
+"""Tiny graphs for exact-vs-approximate comparison (Table XV)
 and the worked example of Figure 1 / Table I.
 """
 from __future__ import annotations
@@ -41,14 +41,3 @@ def ba_graph(n: int, m_attach: int, seed: int = 4) -> UncertainGraph:
         edges, probs, n=n, meta={"name": f"BA_{n}"}
     )
 
-
-def er_graph_normal_probs(
-    n: int, m: int, mean: float, seed: int = 5
-) -> UncertainGraph:
-    """ER topology with N(mean, .1) probabilities (Fig 18 sweep)."""
-    g = np.random.default_rng(seed)
-    edges = er_edges_exact_m(n, m, seed)
-    probs = np.clip(g.normal(mean, 0.1, size=len(edges)), 0.01, 0.99)
-    return UncertainGraph.from_edges(
-        edges, probs, n=n, meta={"name": f"ER_{n}_mu{mean}"}
-    )

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from pyspark.sql import SparkSession
-
 from ..core.uncertain import UncertainGraph
 from ..datasets import (
     biomine_lite,
@@ -58,10 +56,3 @@ def purity(nodes, communities: dict[int, int]) -> float:
         counts[c] = counts.get(c, 0) + 1
     return max(counts.values()) / len(nodes)
 
-
-def get_spark() -> SparkSession:
-    """Active session (jobs create their own; tests pass the fixture)."""
-    s = SparkSession.getActiveSession()
-    if s is None:
-        raise RuntimeError("no active SparkSession — use the `spark` fixture")
-    return s

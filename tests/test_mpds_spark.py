@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.estimate import estimate_set_probs
 from repro.core.mpds import MPDSResult, topk_mpds, world_results_df, world_stats
+from repro.core.nds import topk_nds
 from repro.core.uncertain import UncertainGraph
 from repro.datasets import fig1_graph, karate_club
 
@@ -158,3 +159,46 @@ def test_mpds_tau_equals_estimator_on_same_seed(spark):
     res = topk_mpds(spark, ug, k=1, theta=40, seed=0)
     est = estimate_set_probs(spark, ug, [res.best_set], theta=40, seed=0)
     assert est.tau_hat[0] == pytest.approx(res.best_tau, abs=1e-12)
+
+
+def _udf_stage_tasks(spark, group):
+    """Task counts of the group's stages whose plan runs a mapInPandas UDF."""
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    store = sc._jsc.sc().statusStore()
+    dot = sc._jvm.org.apache.spark.ui.scope.RDDOperationGraph.makeDotFile
+    stages = {
+        sid
+        for jid in tracker.getJobIdsForGroup(group)
+        for sid in tracker.getJobInfo(jid).stageIds
+    }
+    return [
+        tracker.getStageInfo(sid).numTasks
+        for sid in sorted(stages)
+        if 'label="MapInPandas"' in dot(store.operationGraphForStage(sid))
+    ]
+
+
+def test_world_jobs_run_one_wave(spark, fig1):
+    """Every Python task pays a fixed start-up cost, so a world job runs
+    one task per core, never a second wave."""
+    sc = spark.sparkContext
+    cores = sc.defaultParallelism
+    queries = {
+        "mpds": lambda th: topk_mpds(spark, fig1, k=1, theta=th, seed=1),
+        "nds": lambda th: topk_nds(spark, fig1, k=1, theta=th, seed=1),
+        "estimate": lambda th: estimate_set_probs(
+            spark, fig1, [frozenset({1, 3})], theta=th, seed=1
+        ),
+    }
+    try:
+        for theta in (1, 3 * cores):
+            for name, query in queries.items():
+                group = f"one-wave-{name}-{theta}"
+                sc.setJobGroup(group, group)
+                query(theta)
+                tasks = _udf_stage_tasks(spark, group)
+                assert tasks, group
+                assert set(tasks) == {min(theta, cores)}, group
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
