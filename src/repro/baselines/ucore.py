@@ -9,114 +9,30 @@ deterministic core decomposition) yields η-core numbers; the innermost
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
-
-
-def eta_degree(probs: list[float], eta: float) -> int:
-    """max k with Pr[Poisson-binomial(probs) ≥ k] ≥ η (0 if none)."""
-    if not probs:
-        return 0
-    # DP over the distribution of the number of successes.
-    dist = np.array([1.0])
-    for p in probs:
-        nxt = np.zeros(len(dist) + 1)
-        nxt[: len(dist)] += dist * (1 - p)
-        nxt[1:] += dist * p
-        dist = nxt
-    # tail[k] = Pr[X >= k]
-    tail = np.cumsum(dist[::-1])[::-1]
-    ks = np.flatnonzero(tail >= eta)
-    return int(ks.max()) if len(ks) else 0
-
-
-def _deconvolve(dist: np.ndarray, p: float) -> np.ndarray:
-    """Remove one Bernoulli(p) from a Poisson-binomial distribution.
-
-    Inverse of ``conv(rest, [1-p, p])``. Uses the numerically stable
-    recurrence direction (divide by max(p, 1-p) ≥ 0.5).
-    """
-    L = len(dist) - 1
-    rest = np.empty(L)
-    if p <= 0.5:
-        acc = 0.0
-        for k in range(L):
-            acc = (dist[k] - acc * p) / (1.0 - p)
-            rest[k] = acc
-            acc = max(acc, 0.0)
-    else:
-        acc = 0.0
-        for k in range(L - 1, -1, -1):
-            acc = (dist[k + 1] - acc * (1.0 - p)) / p
-            rest[k] = acc
-            acc = max(acc, 0.0)
-    np.clip(rest, 0.0, 1.0, out=rest)
-    s = rest.sum()
-    if s > 0:
-        rest /= s
-    return rest
-
-
-def _eta_from_dist(dist: np.ndarray, eta: float) -> int:
-    tail = np.cumsum(dist[::-1])[::-1]
-    ks = np.flatnonzero(tail >= eta)
-    return int(ks.max()) if len(ks) else 0
+from .poisbin import distribution, peel
 
 
 def eta_core_numbers(ug: UncertainGraph, eta: float = 0.1) -> np.ndarray:
     """η-core number per node.
 
-    Peeling with *decremental* Poisson-binomial maintenance: each node
-    keeps its degree distribution; removing a neighbor deconvolves that
-    edge's Bernoulli out in O(deg) instead of an O(deg²) rebuild.
+    A removed node takes its edge's Bernoulli out of each live
+    neighbor's degree distribution (``poisbin.peel``).
     """
-    n = ug.n
-    adj: list[dict[int, float]] = [dict() for _ in range(n)]
+    adj: list[dict[int, float]] = [dict() for _ in range(ug.n)]
     for (u, v), p in zip(ug.edges, ug.probs):
-        adj[int(u)][int(v)] = float(p)
-        adj[int(v)][int(u)] = float(p)
-    dists: list[np.ndarray] = []
-    deg = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        d = np.array([1.0])
-        for p in adj[v].values():
-            nxt = np.zeros(len(d) + 1)
-            nxt[: len(d)] += d * (1 - p)
-            nxt[1:] += d * p
-            d = nxt
-        dists.append(d)
-        deg[v] = _eta_from_dist(d, eta)
-    core = np.zeros(n, dtype=np.int64)
-    removed = np.zeros(n, dtype=bool)
-    heap = [(int(deg[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        k = max(k, d)
-        core[v] = k
-        for w in list(adj[v]):
-            if not removed[w]:
-                p = adj[w].pop(v)
-                dists[w] = _deconvolve(dists[w], p)
-                nd = _eta_from_dist(dists[w], eta)
-                if nd != deg[w]:
-                    deg[w] = nd
-                    heapq.heappush(heap, (int(nd), w))
-        adj[v].clear()
-    return core
+        adj[int(u)][int(v)] = adj[int(v)][int(u)] = float(p)
+    dists = [distribution(a.values()) for a in adj]
+    # Pr[deg ≥ 0] = 1, so an η-degree is never below 0 but for rounding.
+    return np.maximum(peel(dists, [1.0] * ug.n, eta, lambda v: adj[v].items()), 0)
 
 
 def innermost_eta_core(ug: UncertainGraph, eta: float = 0.1) -> frozenset[int]:
     """Node set of the innermost (max-k) η-core."""
     core = eta_core_numbers(ug, eta)
-    kmax = int(core.max()) if len(core) else 0
+    kmax = core.max(initial=0)
     if kmax == 0:
         return frozenset()
-    return frozenset(int(v) for v in np.flatnonzero(core == kmax))
+    return frozenset(np.flatnonzero(core == kmax).tolist())

@@ -9,72 +9,40 @@ minimum γ-support (k = support + 2) yields truss numbers; the innermost
 """
 from __future__ import annotations
 
-import heapq
-
-import numpy as np
-
 from ..core.uncertain import UncertainGraph
-
-
-def _gamma_support(pe: float, tri_probs: list[float], gamma: float) -> int:
-    """max s with pe · Pr[PoisBin(tri_probs) ≥ s] ≥ γ (−1 if pe < γ)."""
-    if pe < gamma:
-        return -1
-    dist = np.array([1.0])
-    for p in tri_probs:
-        nxt = np.zeros(len(dist) + 1)
-        nxt[: len(dist)] += dist * (1 - p)
-        nxt[1:] += dist * p
-        dist = nxt
-    tail = np.cumsum(dist[::-1])[::-1] * pe
-    ks = np.flatnonzero(tail >= gamma)
-    return int(ks.max()) if len(ks) else -1
+from .poisbin import distribution, peel
 
 
 def gamma_truss_numbers(
     ug: UncertainGraph, gamma: float = 0.1
 ) -> dict[tuple[int, int], int]:
-    """γ-truss number per edge (k = 2 + peeled min support)."""
-    adj: list[dict[int, float]] = [dict() for _ in range(ug.n)]
-    p_of: dict[tuple[int, int], float] = {}
-    for (u, v), p in zip(ug.edges, ug.probs):
-        u, v = int(u), int(v)
-        adj[u][v] = float(p)
-        adj[v][u] = float(p)
-        p_of[(u, v)] = float(p)
-    alive = set(p_of)
+    """γ-truss number per edge (k = 2 + peeled min support; support −1,
+    i.e. p(e) < γ, gives k = 1).
 
-    def support(e: tuple[int, int]) -> int:
-        u, v = e
-        tri = [
-            adj[u][w] * adj[v][w]
-            for w in set(adj[u]) & set(adj[v])
-        ]
-        return _gamma_support(p_of[e], tri, gamma)
+    A removed edge e=(u,v) takes the Bernoulli p(e)·p(v,w) out of (u,w)
+    and p(e)·p(u,w) out of (v,w), for each live triangle (u,v,w).
+    """
+    edges = [(int(u), int(v)) for u, v in ug.edges]
+    probs = [float(p) for p in ug.probs]
+    adj: list[dict[int, int]] = [dict() for _ in range(ug.n)]  # neighbor → edge id
+    for i, (u, v) in enumerate(edges):
+        adj[u][v] = adj[v][u] = i
+    dists = [
+        distribution(
+            probs[adj[u][w]] * probs[adj[v][w]] for w in set(adj[u]) & set(adj[v])
+        )
+        for u, v in edges
+    ]
 
-    sup = {e: support(e) for e in alive}
-    heap = [(s, e) for e, s in sup.items()]
-    heapq.heapify(heap)
-    truss: dict[tuple[int, int], int] = {}
-    k = -1  # support −1 (pe < γ) maps to truss number 1
-    while heap:
-        s, e = heapq.heappop(heap)
-        if e not in alive or s != sup[e]:
-            continue
-        alive.discard(e)
-        k = max(k, s)
-        truss[e] = k + 2
-        u, v = e
-        del adj[u][v]
-        del adj[v][u]
+    def lost(i: int):
+        u, v = edges[i]
+        del adj[u][v], adj[v][u]
         for w in set(adj[u]) & set(adj[v]):
-            for f in ((min(u, w), max(u, w)), (min(v, w), max(v, w))):
-                if f in alive:
-                    ns = support(f)
-                    if ns != sup[f]:
-                        sup[f] = ns
-                        heapq.heappush(heap, (ns, f))
-    return truss
+            yield adj[u][w], probs[i] * probs[adj[v][w]]
+            yield adj[v][w], probs[i] * probs[adj[u][w]]
+
+    support = peel(dists, probs, gamma, lost)
+    return {e: int(s) + 2 for e, s in zip(edges, support)}
 
 
 def innermost_gamma_truss(
@@ -83,11 +51,7 @@ def innermost_gamma_truss(
     """Node set of the innermost (max-k) γ-truss; empty if no edge
     clears the probability threshold at all."""
     truss = gamma_truss_numbers(ug, gamma)
-    if not truss:
-        return frozenset()
-    kmax = max(truss.values())
+    kmax = max(truss.values(), default=1)
     if kmax <= 1:  # only edges with pe < γ (support −1 → k = 1)
         return frozenset()
-    return frozenset(
-        v for e, t in truss.items() if t == kmax for v in e
-    )
+    return frozenset(v for e, t in truss.items() if t == kmax for v in e)

@@ -7,7 +7,9 @@ V) maps bijectively to a densest subgraph via C ∪ des(C) (Algorithm 3).
 h-clique density (Algorithm 2) and pattern density (Algorithm 4) share
 one pipeline over node-tuple instances, on the grouped-instance network
 of Algorithm 7: an h-clique is the pattern K_h. ``instances`` is the one
-place that turns a density notion into its instances.
+place that turns a density notion into its instances, and
+``instance_search`` the one search over them; with integer instance
+weights it also finds the expected densest subgraph (``baselines/eds.py``).
 
 Per-world convention (matches the paper's Table I accounting): a world
 with no edge / no h-clique / no ψ-instance has maximum density 0 and
@@ -22,14 +24,21 @@ SCCs without enumeration, so NDS never truncates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cliques import list_cliques
-from .goldberg import build_edge_network, build_pattern_network, goldberg_search
-from .graph import canonical_edges, induced_edge_count, relabel
+from .goldberg import (
+    Builder,
+    Network,
+    build_edge_network,
+    build_pattern_network,
+    goldberg_search,
+)
+from .graph import canonical_edges, relabel
 from .kcore import k_core_nodes
 from .patterns import enumerate_instances, group_instances
 from .peeling import charikar_peel, instance_core, instance_peel
@@ -67,21 +76,22 @@ def instances(
 
 
 def _enumerate_from_residual(
-    net, s: int, t: int, vid_of: dict[int, int], max_enum: int
-) -> tuple[list[frozenset[int]], frozenset[int], bool]:
+    rho: Fraction, network: Network, graph_ids: np.ndarray, max_enum: int
+) -> DensestResult:
     """Shared tail of Algorithms 2/4 and the edge pipeline.
 
-    ``vid_of`` maps network node id → graph node id for V-nodes.
-    Returns (all densest node sets, max-sized densest, truncated).
+    ``network`` holds its max-flow residual at α = ρ*, and its V-node i
+    is graph node ``graph_ids[i]``.
     """
+    net, s, t, vid, _total = network
     arcs = net.residual_arcs()
     comp = tarjan_scc(net.n, arcs)
     n_comps, out = condensation(net.n, arcs, comp)
     cs, ct = comp[s], comp[t]
     # V-nodes per component; components of s and t are trivial (excluded).
     comp_nodes: list[list[int]] = [[] for _ in range(n_comps)]
-    for net_id, g_id in vid_of.items():
-        comp_nodes[comp[net_id]].append(g_id)
+    for i, g_id in enumerate(graph_ids):
+        comp_nodes[comp[vid[i]]].append(int(g_id))
     nontrivial = [c for c in range(n_comps) if c != cs and c != ct]
     nontrivial_set = set(nontrivial)
     # Restrict the DAG to non-trivial components (Lemma 8: dropping the
@@ -138,7 +148,9 @@ def _enumerate_from_residual(
                 stack.append((new_mask, nxt))
         if truncated:
             break
-    return results, union_nodes, truncated
+    return DensestResult(
+        rho, results, union_nodes, len(results), truncated, len(graph_ids)
+    )
 
 
 def all_densest_edge(
@@ -159,9 +171,7 @@ def all_densest_edge(
     ce2, ids2 = relabel(ce[in_core[ce[:, 0]] & in_core[ce[:, 1]]])
     n2 = len(ids2)
 
-    def density_of(S: set[int]) -> Fraction:
-        return Fraction(induced_edge_count(ce2, S), len(S))
-
+    builder, density_of = instance_network(ce2, n2)
     # A batched peel may keep nodes of degree < ρ̃ outside the core.
     # Dropping such a node only raises the density, so the peel set's own
     # ⌈ρ̃⌉-core is a witness of density ≥ ρ̃ inside the core.
@@ -172,58 +182,76 @@ def all_densest_edge(
         peel = k_core_nodes(ce[in_peel[ce[:, 0]] & in_peel[ce[:, 1]]], n, k)
     witness = set(np.searchsorted(ids2, peel).tolist())
     # Exact enumeration on the search's last residual, at α = ρ*.
-    rho, _, (net, s, t, vid, _total) = goldberg_search(
-        lambda alpha: build_edge_network(ce2, n2, alpha),
-        n2, density_of(witness), witness, density_of,
+    rho, _, network = goldberg_search(
+        builder, n2, density_of(witness), witness, density_of
     )
-    vid_of = {vid[i]: int(ids[ids2[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
+    return _enumerate_from_residual(rho, network, ids[ids2], max_enum)
 
 
-def _all_densest_instances(
-    edges: np.ndarray, notion: str, max_enum: int
-) -> DensestResult:
-    """Algorithms 2 and 4: all h-clique- or ψ-densest subgraphs (exact)."""
-    e = canonical_edges(edges)
-    if len(e) == 0:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    ce, ids = relabel(e)
-    n = len(ids)
-    insts = instances(ce, n, notion)
-    if not insts:
-        return DensestResult(Fraction(0), [], frozenset(), 0)
-    rho_tilde, _ps, _, _, _ = instance_peel(insts, n)
-    core_set = instance_core(insts, n, int(np.ceil(rho_tilde)))
-    core_insts = [c for c in insts if all(v in core_set for v in c)]
-    core_ids = np.array(sorted(core_set), dtype=np.int64)
-    pos = {int(v): i for i, v in enumerate(core_ids)}
-    n2 = len(core_ids)
-    insts2 = [tuple(pos[v] for v in c) for c in core_insts]
-    groups = group_instances(insts2)
+def instance_network(
+    insts: np.ndarray | list[tuple[int, ...]],
+    n: int,
+    weights: np.ndarray | None = None,
+) -> tuple[Builder, Callable[[set[int]], Fraction]]:
+    """Flow network builder and exact density for instances on ids ``0..n-1``.
+
+    The density of S is the (integer) weight of the instances inside S
+    over |S|. Width-2 instances (edges) get the weighted Goldberg edge
+    network, wider ones Algorithm 7's grouped network.
+    """
+    arr = np.asarray(insts, dtype=np.int64)
+    w = np.ones(len(arr), dtype=np.int64) if weights is None else np.asarray(weights)
 
     def density_of(S: set[int]) -> Fraction:
-        cnt = sum(1 for c in insts2 if all(v in S for v in c))
-        return Fraction(cnt, len(S))
+        member = np.zeros(n, dtype=bool)
+        member[list(S)] = True
+        return Fraction(int(w[member[arr].all(axis=1)].sum()), len(S))
 
-    lo, witness, _, _, _ = instance_peel(insts2, n2)
-    rho, _, (net, s, t, vid, _total) = goldberg_search(
-        lambda alpha: build_pattern_network(n2, groups, len(insts[0]), alpha),
-        n2, lo, witness, density_of,
-    )
-    vid_of = {vid[i]: int(ids[core_ids[i]]) for i in range(n2)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n2)
+    if arr.shape[1] == 2:
+        return (lambda alpha: build_edge_network(arr, n, alpha, w)), density_of
+    groups = group_instances(arr.tolist(), w.tolist())
+    width = arr.shape[1]
+    return (lambda alpha: build_pattern_network(n, groups, width, alpha)), density_of
+
+
+def instance_search(
+    insts: list[tuple[int, ...]], n: int, weights: np.ndarray | None = None
+) -> tuple[Fraction, set[int], Network, np.ndarray]:
+    """Exact densest subgraph over node-tuple instances, optionally weighted.
+
+    Instance peel → ⌈ρ̃⌉ instance core → re-index → witness peel →
+    ``goldberg_search`` on ``instance_network``. Any node of a densest
+    subgraph has (weighted) instance degree ≥ ρ* ≥ ρ̃, so the core keeps
+    every optimum. Returns ``(ρ*, a densest witness, the network at ρ*,
+    core_ids)``; witness and network use core-compact ids, and
+    ``core_ids[i]`` is the id in ``0..n-1`` of core node i.
+    """
+    rho_tilde = instance_peel(insts, n, weights)[0]
+    core = instance_core(insts, n, math.ceil(rho_tilde), weights)
+    core_ids = np.array(sorted(core), dtype=np.int64)
+    pos = {int(v): i for i, v in enumerate(core_ids)}
+    kept = [i for i, c in enumerate(insts) if all(v in core for v in c)]
+    insts = [tuple(pos[v] for v in insts[i]) for i in kept]
+    weights = None if weights is None else weights[kept]
+    n = len(core_ids)
+    builder, density_of = instance_network(insts, n, weights)
+    lo, witness, _, _, _ = instance_peel(insts, n, weights)
+    # Every α the search visits is an achieved density (Σ int weights)/|S|,
+    # so its denominator is ≤ n, however large the weights.
+    rho, witness, net = goldberg_search(builder, n, lo, witness, density_of)
+    return rho, witness, net, core_ids
 
 
 def all_densest(
     edges: np.ndarray, notion: str, max_enum: int = 100_000
 ) -> DensestResult:
-    """All densest subgraphs for 'edge', 'clique:h', or a pattern name."""
+    """All densest subgraphs for 'edge', 'clique:h' (Algorithm 2), or a
+    pattern name (Algorithm 4)."""
     if notion == "edge":
         return all_densest_edge(edges, max_enum)
-    return _all_densest_instances(edges, notion, max_enum)
+    ce, ids = relabel(canonical_edges(edges))
+    insts = instances(ce, len(ids), notion) if len(ids) else []
+    if not insts:
+        return DensestResult(Fraction(0), [], frozenset(), 0)
+    rho, _, network, core_ids = instance_search(insts, len(ids))
+    return _enumerate_from_residual(rho, network, ids[core_ids], max_enum)

@@ -14,10 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .alldense import DensestResult, _enumerate_from_residual, instances
-from .goldberg import build_edge_network, build_pattern_network, goldberg_search
+from .alldense import (
+    DensestResult,
+    _enumerate_from_residual,
+    instance_network,
+    instances,
+)
+from .goldberg import goldberg_search
 from .graph import canonical_edges, nodes_of, relabel
-from .patterns import group_instances
 
 
 def brute_all_densest(
@@ -58,8 +62,7 @@ def unpruned_all_densest(
 
     The search starts from the whole graph's density, and the densest
     sets are enumerated from the residual of a freshly built and flowed
-    network of the whole graph at α = ρ*: Goldberg's network for edge
-    density, Algorithm 7's grouped network otherwise.
+    network of the whole graph at α = ρ* (``instance_network``).
     """
     ce, ids = relabel(canonical_edges(edges))
     insts = instances(ce, len(ids), notion)
@@ -69,31 +72,13 @@ def unpruned_all_densest(
     # would leave it in an SCC of its own; the network omits such nodes.
     keep, inv = np.unique(np.array(insts, dtype=np.int64), return_inverse=True)
     inst_arr = inv.reshape(len(insts), -1)
-    insts = [tuple(r) for r in inst_arr.tolist()]
     ids, n = ids[keep], len(keep)
 
-    def density_of(S: set[int]) -> Fraction:
-        member = np.zeros(n, dtype=bool)
-        member[list(S)] = True
-        return Fraction(int(member[inst_arr].all(axis=1).sum()), len(S))
-
-    if notion == "edge":
-        def builder(alpha: Fraction):
-            return build_edge_network(inst_arr, n, alpha)
-    else:
-        groups = group_instances(insts)
-
-        def builder(alpha: Fraction):
-            return build_pattern_network(n, groups, len(insts[0]), alpha)
-
+    builder, density_of = instance_network(inst_arr, n)
     rho, _, _ = goldberg_search(
         builder, n, Fraction(len(insts), n), set(range(n)), density_of
     )
     # A fresh network and flow at ρ*, independent of the search's residual.
-    net, s, t, vid, _total = builder(rho)
+    net, s, t, _vid, _total = network = builder(rho)
     net.max_flow(s, t)
-    vid_of = {vid[i]: int(ids[i]) for i in range(n)}
-    subs, union_nodes, truncated = _enumerate_from_residual(
-        net, s, t, vid_of, max_enum
-    )
-    return DensestResult(rho, subs, union_nodes, len(subs), truncated, n)
+    return _enumerate_from_residual(rho, network, ids, max_enum)

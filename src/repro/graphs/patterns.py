@@ -112,11 +112,12 @@ def instance_edges(inst: tuple[int, ...], notion: str) -> list[tuple[int, int]]:
 
 
 def group_instances(
-    instances: list[tuple[int, ...]]
+    instances: list[tuple[int, ...]], weights: list[int] | None = None
 ) -> dict[frozenset[int], int]:
-    """Group instances by node set → count |g| (Algorithm 7, Line 5)."""
+    """Group instances by node set → count |g| (Algorithm 7, Line 5), or
+    with integer ``weights`` (one per instance) the group's weight sum."""
     groups: dict[frozenset[int], int] = {}
-    for inst in instances:
+    for i, inst in enumerate(instances):
         key = frozenset(inst)
-        groups[key] = groups.get(key, 0) + 1
+        groups[key] = groups.get(key, 0) + (1 if weights is None else weights[i])
     return groups

@@ -6,8 +6,6 @@ Probabilistic Density (Eq. 19):
 Probabilistic Clustering Coefficient (Eq. 20):
     PCC(U) = 3 Σ_{Δuvw ⊆ U} p(uv)p(uw)p(vw)
              / Σ_{(u,v),(u,w) ∈ E_U, v≠w} p(uv)p(uw)
-
-Expected edge density (linearity): Σ_{e ⊆ U} p(e) / |U|.
 """
 from __future__ import annotations
 
@@ -55,11 +53,3 @@ def probabilistic_clustering_coefficient(
         return 0.0
     return 3.0 * tri / wedges
 
-
-def expected_edge_density_df(edges: DataFrame, nodes: frozenset[int]) -> float:
-    """Exact expected edge density of the induced uncertain subgraph."""
-    k = len(nodes)
-    if k == 0:
-        return 0.0
-    tot = _induced(edges, nodes).agg(F.sum("p").alias("s")).collect()[0]["s"]
-    return float(tot or 0.0) / k

@@ -1,4 +1,5 @@
 """Baselines: EDS (vs brute weighted optimum), DDS, (k,η)-core, (k,γ)-truss."""
+import heapq
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,9 @@ from repro.baselines import (
     innermost_eta_core,
     innermost_gamma_truss,
 )
-from repro.baselines.ucore import eta_core_numbers, eta_degree
+from repro import datasets
+from repro.baselines.poisbin import deconvolve, distribution, tail_index
+from repro.baselines.ucore import eta_core_numbers
 from repro.baselines.utruss import gamma_truss_numbers
 from repro.core.estimate import expected_density
 from repro.core.uncertain import UncertainGraph
@@ -57,6 +60,27 @@ def test_eds_matches_brute_optimum(seed, notion):
     assert expected_density(ug, got_set, notion) == pytest.approx(exp_d, abs=1e-5)
 
 
+# (set, density) that expected_densest returned before EDS moved onto the
+# shared instance search of graphs/alldense.py. Intel's nodes are 0..53.
+EDS_PINNED = {
+    ("karate", "edge"): ({0, 1, 2, 3, 7, 13}, 1.356084),
+    ("karate", "clique:3"): ({0, 1, 2, 3, 7, 13}, 0.5454721666666666),
+    ("karate", "diamond"): ({0, 1, 2, 3, 7, 13}, 0.7157808333333334),
+    ("intel", "edge"): (set(range(54)), 5.464330944444444),
+    ("intel", "clique:3"): (set(range(48)), 4.5639251875),
+    ("intel", "diamond"): (set(range(54)) - {48, 49, 50, 52, 53}, 16.69751775510204),
+}
+GRAPHS = {"karate": datasets.karate_club, "intel": datasets.intel_lab}
+
+
+@pytest.mark.parametrize("name, notion", list(EDS_PINNED))
+def test_eds_pinned_sets_and_densities(name, notion):
+    got_set, got_d = expected_densest(GRAPHS[name](), notion)
+    exp_set, exp_d = EDS_PINNED[name, notion]
+    assert got_set == frozenset(exp_set)
+    assert got_d == exp_d
+
+
 def test_eds_clique_notion_runs():
     ug = random_ug(3, n=6, p_edge=0.8)
     s, d = expected_densest(ug, "clique:3")
@@ -99,15 +123,32 @@ def test_eta_degree_matches_monte_carlo(seed):
     g = np.random.default_rng(seed)
     probs = list(g.uniform(0.1, 0.9, size=6))
     for eta in (0.1, 0.5):
-        exact = eta_degree(probs, eta)
+        exact = tail_index(distribution(probs), eta)
         mc = brute_eta_degree(probs, eta, seed=seed)
         assert abs(exact - mc) <= 1  # MC noise at the threshold only
 
 
 def test_eta_degree_edge_cases():
-    assert eta_degree([], 0.1) == 0
-    assert eta_degree([1.0, 1.0], 0.99) == 2
-    assert eta_degree([0.05], 0.5) == 0
+    assert tail_index(distribution([]), 0.1) == 0
+    assert tail_index(distribution([1.0, 1.0]), 0.99) == 2
+    assert tail_index(distribution([0.05]), 0.5) == 0
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 1.0])
+def test_deconvolve_undoes_one_convolution(p):
+    rest = distribution(np.random.default_rng(0).uniform(0.05, 0.95, 6))
+    both = np.convolve(rest, [1 - p, p])
+    np.testing.assert_allclose(deconvolve(both, p), rest, atol=1e-12)
+
+
+def test_tail_index_below_scale():
+    # Pr[X ≥ 0] = 1, so only a scale below the threshold gives −1.
+    assert tail_index(distribution([0.9, 0.9]), 0.5, scale=0.4) == -1
+    assert tail_index(distribution([0.9, 0.9]), 0.5, scale=0.6) == 1
+
+
+def test_distribution_of_nothing():
+    assert distribution([]).tolist() == [1.0]
 
 
 def test_eta_core_triangle_plus_pendant():
@@ -143,3 +184,94 @@ def test_gamma_truss_no_triangles():
     ug = UncertainGraph.from_edges([(0, 1), (1, 2)], [0.9, 0.9], n=3)
     truss = gamma_truss_numbers(ug, gamma=0.1)
     assert all(t == 2 for t in truss.values())  # support 0 -> k = 2
+
+
+# Oracles: the peels as they were before poisbin, rebuilding each
+# neighbour's distribution anew on every removal.
+def oracle_tail_index(probs, threshold, scale=1.0):
+    if scale < threshold:
+        return -1
+    dist = np.array([1.0])
+    for p in probs:
+        nxt = np.zeros(len(dist) + 1)
+        nxt[: len(dist)] += dist * (1 - p)
+        nxt[1:] += dist * p
+        dist = nxt
+    tail = np.cumsum(dist[::-1])[::-1] * scale
+    ks = np.flatnonzero(tail >= threshold)
+    return int(ks.max()) if len(ks) else -1
+
+
+def oracle_peel(items, index, neighbours):
+    """Min-index peel; ``index(i)`` reads the current graph, and
+    ``neighbours(i)`` removes item i and returns the items it touched."""
+    cur = {i: index(i) for i in items}
+    heap = [(k, i) for i, k in cur.items()]
+    heapq.heapify(heap)
+    out, k = {}, -1
+    while heap:
+        d, i = heapq.heappop(heap)
+        if i in out or d != cur[i]:
+            continue
+        k = max(k, d)
+        out[i] = k
+        for j in neighbours(i):
+            if j not in out and index(j) != cur[j]:
+                cur[j] = index(j)
+                heapq.heappush(heap, (cur[j], j))
+    return out
+
+
+def oracle_eta_core(ug, eta):
+    adj = [dict() for _ in range(ug.n)]
+    for (u, v), p in zip(ug.edges, ug.probs):
+        adj[int(u)][int(v)] = adj[int(v)][int(u)] = float(p)
+
+    def neighbours(v):
+        for w in adj[v]:
+            del adj[w][v]
+        return list(adj[v])
+
+    def eta_degree(v):
+        return oracle_tail_index(adj[v].values(), eta)
+
+    out = oracle_peel(range(ug.n), eta_degree, neighbours)
+    return [max(out[v], 0) for v in range(ug.n)]
+
+
+def oracle_gamma_truss(ug, gamma):
+    adj = [dict() for _ in range(ug.n)]
+    for (u, v), p in zip(ug.edges, ug.probs):
+        adj[int(u)][int(v)] = adj[int(v)][int(u)] = float(p)
+    p_of = {(int(u), int(v)): float(p) for (u, v), p in zip(ug.edges, ug.probs)}
+
+    def support(e):
+        u, v = e
+        tri = [adj[u][w] * adj[v][w] for w in set(adj[u]) & set(adj[v])]
+        return oracle_tail_index(tri, gamma, p_of[e])
+
+    def neighbours(e):
+        u, v = e
+        del adj[u][v], adj[v][u]
+        common = set(adj[u]) & set(adj[v])
+        return [(min(a, w), max(a, w)) for w in common for a in (u, v)]
+
+    out = oracle_peel(list(p_of), support, neighbours)
+    return {e: s + 2 for e, s in out.items()}
+
+
+ORACLE_GRAPHS = [
+    pytest.param(lambda s=seed: random_ug(s, n=12, p_edge=0.5), id=f"random-{seed}")
+    for seed in range(6)
+] + [
+    pytest.param(datasets.karate_club, id="karate"),
+    pytest.param(datasets.intel_lab, id="intel"),
+]
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+def test_peel_numbers_match_rebuild_oracle(graph, threshold):
+    ug = graph()
+    assert eta_core_numbers(ug, threshold).tolist() == oracle_eta_core(ug, threshold)
+    assert gamma_truss_numbers(ug, threshold) == oracle_gamma_truss(ug, threshold)
