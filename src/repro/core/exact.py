@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 from ..graphs.alldense import instances
 from ..graphs.graph import canonical_edges
 from ..graphs.patterns import instance_edges
-from .mpds import one_wave
+from .mpds import one_wave, reread_zips_on_change
 from .uncertain import UncertainGraph
 
 MAX_EXACT_EDGES = 26
@@ -87,6 +87,7 @@ def exact_tau(
     starts = list(range(0, n_worlds, chunk))
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        reread_zips_on_change()
         inst_masks_, member_, sizes_, logp_, log1mp_, m_ = bc.value
         bit_cols = np.arange(m_, dtype=np.uint64)
         for pdf in batches:

@@ -12,6 +12,9 @@ Algorithm 5's candidate) and one ``kind='meta'`` row per world carrying
 """
 from __future__ import annotations
 
+import os
+import sys
+import zipimport
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +37,46 @@ WORLD_SCHEMA = (
 
 def _key(nodes) -> str:
     return ",".join(str(v) for v in sorted(nodes))
+
+
+ZIP_STAMP_MARK = "_repro_rereads_on_change"
+
+
+def reread_zips_on_change() -> None:
+    """Let ``zipimporter.invalidate_caches`` skip archives that did not change.
+
+    Before each task, pyspark's worker calls ``importlib.invalidate_caches()``.
+    On Python 3.10-3.12 that makes every ``zipimporter`` on ``pyspark.zip``
+    re-read the whole archive directory, the bulk of a task's fixed cost
+    (DESIGN.md §3). This wraps the method for the rest of the process: it
+    keeps the cached directory while the archive's ``(st_mtime_ns,
+    st_size)`` equals the stamp taken before its last read. A marker on the
+    class makes a second call a no-op. Python 3.13 only drops the cache
+    there, and older versions lack the method, so they are left alone.
+    """
+    cls = zipimport.zipimporter
+    if not (3, 10) <= sys.version_info < (3, 13):
+        return
+    if getattr(cls, ZIP_STAMP_MARK, False):
+        return
+    reread = cls.invalidate_caches
+    stamps: dict[str, tuple[int, int]] = {}
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+        except OSError:
+            return reread(self)
+        stamp = (st.st_mtime_ns, st.st_size)
+        files = zipimport._zip_directory_cache.get(self.archive)
+        if files is not None and stamps.get(self.archive) == stamp:
+            self._files = files
+        else:
+            reread(self)
+            stamps[self.archive] = stamp
+
+    cls.invalidate_caches = invalidate_caches
+    setattr(cls, ZIP_STAMP_MARK, True)
 
 
 def one_wave(sc, n_items: int) -> int:
@@ -65,6 +108,7 @@ def map_worlds(
     columns = [field.split()[0] for field in schema.split(",")]
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        reread_zips_on_change()
         edges, probs = bc.value
         for pdf in batches:
             ids = pdf["id"].to_numpy()

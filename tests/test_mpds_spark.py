@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 from repro.core.estimate import estimate_set_probs
-from repro.core.mpds import MPDSResult, topk_mpds, world_results_df, world_stats
+from repro.core.mpds import (
+    ZIP_STAMP_MARK,
+    MPDSResult,
+    map_worlds,
+    topk_mpds,
+    world_results_df,
+    world_stats,
+)
 from repro.core.nds import topk_nds
 from repro.core.uncertain import UncertainGraph
 from repro.datasets import fig1_graph, karate_club
@@ -159,6 +166,24 @@ def test_mpds_tau_equals_estimator_on_same_seed(spark):
     res = topk_mpds(spark, ug, k=1, theta=40, seed=0)
     est = estimate_set_probs(spark, ug, [res.best_set], theta=40, seed=0)
     assert est.tau_hat[0] == pytest.approx(res.best_tau, abs=1e-12)
+
+
+def test_world_tasks_skip_unchanged_zip_rereads(spark, fig1):
+    """Every world task runs with the zipimport stamp check installed, on
+    the Python versions whose ``invalidate_caches`` re-reads archives."""
+
+    def solve(wid, edges, weight, state):
+        import sys
+        import zipimport
+
+        marked = getattr(zipimport.zipimporter, ZIP_STAMP_MARK, False)
+        needed = (3, 10) <= sys.version_info < (3, 13)
+        return [(wid, bool(marked), needed)]
+
+    schema = "world_id long, marked boolean, needed boolean"
+    rows = map_worlds(spark, fig1, 12, 0, "mc", solve, schema, 3).collect()
+    assert sorted(r.world_id for r in rows) == list(range(12))
+    assert all(r.marked == r.needed for r in rows)
 
 
 def _udf_stage_tasks(spark, group):
