@@ -28,7 +28,7 @@ def expected_densest(
     """(EDS node set, its expected density). Exact up to prob scaling."""
     ce, ids = relabel(ug.edges)
     insts = alldense.instances(ce, len(ids), notion)
-    if not insts:
+    if len(insts) == 0:
         return frozenset(), 0.0
     scaled = np.maximum(1, np.round(ug.probs * SCALE)) / SCALE
     prob_of = dict(zip(map(tuple, ce.tolist()), scaled.tolist()))
@@ -36,7 +36,7 @@ def expected_densest(
         max(1, round(math.prod(
             prob_of[min(a, b), max(a, b)] for a, b in instance_edges(inst, notion)
         ) * SCALE))
-        for inst in insts
+        for inst in insts.tolist()
     ], dtype=np.int64)
     rho, witness, _, core_ids = alldense.instance_search(insts, len(ids), weights)
     return frozenset(int(ids[core_ids[v]]) for v in witness), float(rho) / SCALE

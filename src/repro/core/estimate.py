@@ -111,7 +111,7 @@ def expected_density(ug: UncertainGraph, U: frozenset[int], notion: str = "edge"
     }
     ce, ids = relabel(sub_e)
     total = 0.0
-    for inst in instances(ce, len(ids), notion):
+    for inst in instances(ce, len(ids), notion).tolist():
         w = 1.0
         for a, b in instance_edges(inst, notion):
             oa, ob = int(ids[a]), int(ids[b])

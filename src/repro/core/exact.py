@@ -43,7 +43,7 @@ def _prepare(ug: UncertainGraph, notion: str):
     insts = instances(edges, n, notion)
     inst_masks = []
     inst_nodes = []
-    for inst in insts:
+    for inst in insts.tolist():
         mask = 0
         for a, b in instance_edges(inst, notion):
             mask |= 1 << eidx[(min(a, b), max(a, b))]

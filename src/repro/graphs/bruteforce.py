@@ -37,9 +37,9 @@ def brute_all_densest(
     nodes = [int(v) for v in nodes_of(e)]
     n_max = (max(nodes) + 1) if nodes else 0
     insts = instances(e, n_max, notion)
-    if not insts:
+    if len(insts) == 0:
         return Fraction(0), []
-    inst_sets = [frozenset(t) for t in insts]
+    inst_sets = [frozenset(t) for t in insts.tolist()]
     best = Fraction(0)
     best_sets: list[frozenset[int]] = []
     for r in range(1, len(nodes) + 1):
@@ -66,12 +66,12 @@ def unpruned_all_densest(
     """
     ce, ids = relabel(canonical_edges(edges))
     insts = instances(ce, len(ids), notion)
-    if not insts:
+    if len(insts) == 0:
         return DensestResult(Fraction(0), [], frozenset(), 0)
     # A node in no instance carries no flow, so its residual arc to t
     # would leave it in an SCC of its own; the network omits such nodes.
-    keep, inv = np.unique(np.array(insts, dtype=np.int64), return_inverse=True)
-    inst_arr = inv.reshape(len(insts), -1)
+    keep, inv = np.unique(insts, return_inverse=True)
+    inst_arr = inv.reshape(insts.shape)
     ids, n = ids[keep], len(keep)
 
     builder, density_of = instance_network(inst_arr, n)

@@ -41,15 +41,15 @@ def heuristic_dense(
     ce, ids = relabel(e)
     n = len(ids)
     insts = instances(ce, n, notion)
-    if not insts:
+    if len(insts) == 0:
         return HeuristicResult(Fraction(0), [], frozenset())
     # One peel pass records removal order, suffix densities, AND popped
     # degrees — core numbers come free (Batagelj–Zaversnik: cn(v) =
     # running max of popped degree), so the innermost core is the peel
     # suffix from the first removal at the final running max.
-    _best, _best_set, order, densities, pop_deg = instance_peel(insts, n)
-    inst_node_sets = [frozenset(t) for t in insts]
-    touched = {v for t in insts for v in t}
+    order, densities, pop_deg = instance_peel(insts, n)
+    inst_node_sets = [frozenset(t) for t in insts.tolist()]
+    touched = set(np.unique(insts).tolist())
     runmax = np.maximum.accumulate(np.array(pop_deg, dtype=np.int64))
     k_max = int(runmax[-1]) if len(runmax) else 0
     first = int(np.argmax(runmax == k_max)) if len(runmax) else 0

@@ -1,7 +1,7 @@
 """Exact all-densest-subgraph enumeration vs brute force (the core oracle).
 
 These validate the paper's Algorithms 2/3/4 and the Chang&Qiao edge
-pipeline end-to-end: exact ρ*, the complete list of densest subgraphs
+case end-to-end: exact ρ*, the complete list of densest subgraphs
 (each exactly once), and the maximum-sized densest subgraph (= union).
 """
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 from repro import datasets
 from repro.baselines.eds import expected_densest
 from repro.core.sampling import sample_block
-from repro.graphs.alldense import all_densest, all_densest_edge
+from repro.graphs.alldense import all_densest
 from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest
 from repro.graphs.graph import canonical_edges
 from repro.graphs.maxflow import FlowNetwork
@@ -47,7 +47,7 @@ def test_enumeration_matches_brute(seed, notion):
 @pytest.mark.parametrize("seed", range(6))
 def test_each_subgraph_enumerated_once(seed):
     e = random_graph(seed + 100)
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert len(set(res.subgraphs)) == len(res.subgraphs)
 
 
@@ -58,14 +58,14 @@ def test_empty_graph():
 
 
 def test_single_edge():
-    res = all_densest_edge(np.array([[4, 7]]))
+    res = all_densest(np.array([[4, 7]]), "edge")
     assert res.rho == Fraction(1, 2)
     assert res.subgraphs == [frozenset({4, 7})]
 
 
 def test_disconnected_ties_union():
     # two disjoint single edges tie at 1/2; union also ties
-    res = all_densest_edge(np.array([[0, 1], [5, 6]]))
+    res = all_densest(np.array([[0, 1], [5, 6]]), "edge")
     sets = {frozenset(s) for s in res.subgraphs}
     assert sets == {
         frozenset({0, 1}), frozenset({5, 6}), frozenset({0, 1, 5, 6})
@@ -79,14 +79,14 @@ def test_disjoint_triangles_combinatorics():
     for k in range(3):
         b = 3 * k
         tris += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
-    res = all_densest_edge(np.array(tris))
+    res = all_densest(np.array(tris), "edge")
     assert res.rho == Fraction(1)
     assert res.n_densest == 2**3 - 1
 
 
 def test_triangle_with_pendant():
     # triangle (3/3) ties the whole graph (4/4) at density 1
-    res = all_densest_edge(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
+    res = all_densest(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]), "edge")
     assert res.rho == Fraction(1)
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({0, 1, 2}), frozenset({0, 1, 2, 3})
@@ -120,7 +120,7 @@ def test_max_enum_truncation_flag():
     for k in range(6):  # 63 densest subgraphs
         b = 3 * k
         tris += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
-    res = all_densest_edge(np.array(tris), max_enum=5)
+    res = all_densest(np.array(tris), "edge", max_enum=5)
     assert res.truncated and res.n_densest == 5
     # union must still be complete despite truncation
     assert len(res.max_sized) == 18
@@ -128,7 +128,7 @@ def test_max_enum_truncation_flag():
 
 def test_original_labels_preserved():
     e = np.array([[100, 200], [200, 300], [100, 300]])
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert res.subgraphs == [frozenset({100, 200, 300})]
 
 
@@ -155,7 +155,7 @@ def test_paper_example4_shape():
     """
     A, B, C, D = 0, 1, 2, 3
     e = canonical_edges(np.array([[A, B], [B, C], [B, D], [C, D]]))
-    res = all_densest_edge(e)
+    res = all_densest(e, "edge")
     assert res.rho == Fraction(1)
     assert {frozenset(s) for s in res.subgraphs} == {
         frozenset({A, B, C, D}), frozenset({B, C, D})
@@ -173,6 +173,7 @@ CORE_PRUNE_CASES = [
     ("karate_club", "mc", 200, "2-star"),
     ("intel_lab", "mc", 32, "2-star"),
     ("lastfm", "mc", 4, "edge"),
+    ("karate_club", "mc", 200, "diamond"),
 ]
 
 
@@ -188,6 +189,7 @@ CORE_PRUNE_CASES = [
         "karate_club-mc-200-2-star",
         "intel_lab-mc-32-2-star",
         "lastfm-mc-4",
+        "karate_club-mc-200-diamond",
     ],
 )
 def test_core_prune_keeps_every_output(dataset, method, theta, notion):

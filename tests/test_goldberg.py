@@ -15,7 +15,7 @@ from repro.graphs.goldberg import (
 )
 from repro.graphs.graph import canonical_edges, induced_edge_count
 from repro.graphs.patterns import enumerate_instances, group_instances
-from repro.graphs.peeling import charikar_peel, instance_peel
+from repro.graphs.peeling import charikar_peel
 
 
 def random_graph(seed, n=8, p=0.5):
@@ -57,9 +57,7 @@ def test_edge_density_search_matches_brute(seed, max_weight):
         lo, witness = charikar_peel(e, n)
     else:
         w = np.random.default_rng(seed).integers(1, max_weight + 1, len(e))
-        lo, witness, _, _, _ = instance_peel(
-            [tuple(x) for x in e.tolist()], n, w
-        )
+        lo, witness = charikar_peel(e, n, w)
 
     def density_of(S):
         inside = np.isin(e, list(S)).all(axis=1)
@@ -83,7 +81,7 @@ def test_clique_density_search_matches_brute(seed):
         pytest.skip("no triangle")
     rho_b, _ = brute_all_densest(e, "clique:3")
     groups = group_instances(cl)  # one triangle per node set
-    lo, witness, _, _, _ = instance_peel(cl, n)
+    lo, witness = charikar_peel(np.array(cl), n)
 
     def density_of(S):
         return Fraction(sum(1 for c in cl if all(v in S for v in c)), len(S))
@@ -104,7 +102,7 @@ def test_pattern_density_search_matches_brute(seed, name):
         pytest.skip("no instance")
     rho_b, _ = brute_all_densest(e, name)
     groups = group_instances(insts)
-    lo, witness, _, _, _ = instance_peel(insts, n)
+    lo, witness = charikar_peel(np.array(insts), n)
     psz = 3 if name == "2-star" else 4
 
     def density_of(S):

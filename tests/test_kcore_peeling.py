@@ -1,19 +1,20 @@
-"""k-core / peeling kernels vs brute-force references."""
+"""Batched peel, rounds core and sequential peel vs brute-force references."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro.graphs.alldense import instances
 from repro.graphs.bruteforce import brute_all_densest, unpruned_all_densest
 from repro.graphs.cliques import list_cliques
 from repro.graphs.graph import canonical_edges
-from repro.graphs.kcore import k_core_nodes
-from repro.graphs.peeling import charikar_peel, instance_core, instance_peel
+from repro.graphs.peeling import charikar_peel, instance_peel, k_core_nodes
 
 # Random graphs as (n, sampled node pairs, seed): the small ones first,
 # then n = 200 ones on which the batched peels run many rounds.
 KCORE_GRAPHS = [(12, 30, s) for s in range(8)] + [(200, 300, s) for s in range(3)]
 PEEL_GRAPHS = [(10, 25, s) for s in range(6)] + [(200, 400, s) for s in range(3)]
+WIDTH = {"clique:3": 3, "2-star": 3, "diamond": 4}
 
 
 def graph_ids(graphs):
@@ -34,6 +35,29 @@ def brute_k_core(edges, n, k):
         alive -= drop
 
 
+def brute_instance_core(insts, weights, n, k):
+    """The (k, ·)-core by dropping one node at a time, over tuples."""
+    alive = set(range(n))
+    while True:
+        deg = {v: 0 for v in alive}
+        for inst, w in zip(insts, weights):
+            if set(inst) <= alive:
+                for v in inst:
+                    deg[v] += w
+        low = [v for v in sorted(alive) if deg[v] < k]
+        if not low:
+            return alive
+        alive.discard(low[0])
+
+
+def random_instances(seed, notion, n=9, p=0.6):
+    g = np.random.default_rng(seed)
+    e = canonical_edges(np.array(
+        [(u, v) for u in range(n) for v in range(u + 1, n) if g.random() < p]
+    ).reshape(-1, 2))
+    return e, instances(e, n, notion)
+
+
 @pytest.mark.parametrize("n, pairs, seed", KCORE_GRAPHS, ids=graph_ids(KCORE_GRAPHS))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_k_core_matches_brute(n, pairs, seed, k):
@@ -43,6 +67,19 @@ def test_k_core_matches_brute(n, pairs, seed, k):
     exp = brute_k_core([tuple(x) for x in e.tolist()], n, k)
     # brute force keeps isolated nodes when k == 0 only; for k >= 1 match
     assert got == {v for v in exp}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize("notion", ["clique:3", "2-star"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_instance_core_matches_brute(k, notion, weighted, seed):
+    _, insts = random_instances(seed, notion)
+    g = np.random.default_rng(seed + 1)
+    w = g.integers(1, 3, len(insts)) if weighted else np.ones(len(insts), dtype=np.int64)
+    got = k_core_nodes(insts, 9, k, w if weighted else None)
+    exp = brute_instance_core(insts.tolist(), w.tolist(), 9, k)
+    assert set(got.tolist()) == exp
 
 
 def test_k_core_zero_returns_all():
@@ -68,6 +105,19 @@ def test_charikar_peel_is_half_approx_and_achieved(n, pairs, seed):
     assert best <= rho <= 2 * best
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("notion", list(WIDTH))
+def test_batched_peel_is_1_over_h_approx_and_achieved(notion, seed):
+    e, insts = random_instances(seed, notion)
+    if len(insts) == 0:
+        pytest.skip("no instance")
+    best, best_set = charikar_peel(insts, 9)
+    cnt = sum(1 for t in insts.tolist() if set(t) <= best_set)
+    assert Fraction(cnt, len(best_set)) == best
+    rho, _ = brute_all_densest(e, notion)
+    assert best <= rho <= WIDTH[notion] * best
+
+
 def test_charikar_peel_empty():
     best, s = charikar_peel(np.empty((0, 2), dtype=np.int64), 5)
     assert best == 0 and s == set()
@@ -76,39 +126,41 @@ def test_charikar_peel_empty():
 def test_instance_peel_matches_edge_peel_on_edges():
     # triangle + pendant: whole graph (4/4) ties the triangle (3/3)
     e = canonical_edges(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
-    inst = [tuple(x) for x in e.tolist()]
-    best_i, set_i, order, dens, degs = instance_peel(inst, 4)
+    order, dens, degs = instance_peel(e, 4)
     best_e, set_e = charikar_peel(e, 4)
-    assert best_i == best_e == Fraction(1)
-    assert set_i in ({0, 1, 2}, {0, 1, 2, 3})
+    assert max([Fraction(len(e), 4), *dens]) == best_e == Fraction(1)
     assert set_e in ({0, 1, 2}, {0, 1, 2, 3})
-    assert len(order) == len(dens) == 4
+    assert order[0] == 3 and degs[0] == 1
+    assert len(order) == len(dens) == len(degs) == 4
 
 
-def test_instance_peel_unit_weights_match_unweighted():
+@pytest.mark.parametrize("width", [2, 3])
+def test_unit_weights_match_unweighted(width):
     g = np.random.default_rng(0)
     e = canonical_edges(g.integers(0, 12, size=(40, 2)))
-    tris = list_cliques(e, 12, 3)
-    ones = np.ones(len(tris), dtype=np.int64)
-    assert instance_peel(tris, 12, weights=ones) == instance_peel(tris, 12)
+    insts = e if width == 2 else np.array(list_cliques(e, 12, 3))
+    ones = np.ones(len(insts), dtype=np.int64)
+    assert charikar_peel(insts, 12, ones) == charikar_peel(insts, 12)
     for k in range(1, 5):
-        assert instance_core(tris, 12, k, ones) == instance_core(tris, 12, k)
+        np.testing.assert_array_equal(
+            k_core_nodes(insts, 12, k, ones), k_core_nodes(insts, 12, k)
+        )
 
 
 def test_instance_core_triangle_instances():
     # two triangles sharing node 2; instance = triangle
-    tris = [(0, 1, 2), (2, 3, 4)]
-    assert instance_core(tris, 5, 1) == {0, 1, 2, 3, 4}
-    assert instance_core(tris, 5, 2) == set()
+    tris = np.array([(0, 1, 2), (2, 3, 4)])
+    assert set(k_core_nodes(tris, 5, 1).tolist()) == {0, 1, 2, 3, 4}
+    assert set(k_core_nodes(tris, 5, 2).tolist()) == set()
 
 
 def test_instance_core_removal_cascade():
     # instance degree of 2 is 2; removing others kills all instances
-    tris = [(0, 1, 2), (0, 1, 3)]
-    core = instance_core(tris, 4, 2)
-    assert core == set()  # nodes 2,3 have degree 1 -> cascade kills all
+    tris = np.array([(0, 1, 2), (0, 1, 3)])
+    core = k_core_nodes(tris, 4, 2)
+    assert set(core.tolist()) == set()  # nodes 2,3 have degree 1 -> cascade kills all
 
 
 def test_instance_peel_empty():
-    best, s, order, dens, degs = instance_peel([], 4)
-    assert best == 0 and s == set() and order == [] and dens == []
+    order, dens, degs = instance_peel(np.empty((0, 3), dtype=np.int64), 4)
+    assert order == [] and dens == [] and degs == []

@@ -17,8 +17,8 @@ GRAPH = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]])
 
 REACHED = {
     "edge": {"charikar_peel", "k_core_nodes", "goldberg_search"},
-    "clique:3": {"list_cliques", "instance_peel", "instance_core", "goldberg_search"},
-    "2-star": {"enumerate_instances", "instance_peel", "instance_core", "goldberg_search"},
+    "clique:3": {"list_cliques", "charikar_peel", "k_core_nodes", "goldberg_search"},
+    "2-star": {"enumerate_instances", "charikar_peel", "k_core_nodes", "goldberg_search"},
 }
 # Lengths of the instance lists the wrappers see: 4 triangles, 15 2-stars.
 LISTED = {"edge": [], "clique:3": [4], "2-star": [15]}
