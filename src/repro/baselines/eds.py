@@ -10,14 +10,12 @@ true integer-weighted optimum.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
 from ..graphs import alldense
 from ..graphs.graph import relabel
-from ..graphs.patterns import instance_edges
+from ..graphs.patterns import instance_edge_ids
 
 SCALE = 1_000_000
 
@@ -31,12 +29,9 @@ def expected_densest(
     if len(insts) == 0:
         return frozenset(), 0.0
     scaled = np.maximum(1, np.round(ug.probs * SCALE)) / SCALE
-    prob_of = dict(zip(map(tuple, ce.tolist()), scaled.tolist()))
-    weights = np.array([
-        max(1, round(math.prod(
-            prob_of[min(a, b), max(a, b)] for a, b in instance_edges(inst, notion)
-        ) * SCALE))
-        for inst in insts.tolist()
-    ], dtype=np.int64)
+    rows = instance_edge_ids(insts, ce, notion)
+    weights = np.maximum(
+        1, np.round(scaled[rows].prod(axis=1) * SCALE)
+    ).astype(np.int64)
     rho, witness, _, core_ids = alldense.instance_search(insts, len(ids), weights)
     return frozenset(int(ids[core_ids[v]]) for v in witness), float(rho) / SCALE

@@ -4,9 +4,12 @@ Tables III/IV/VII/XI/XII report the estimated densest-subgraph
 probability τ̂(U) and containment probability γ̂(U) of node sets produced
 by *other* methods (EDS, cores, trusses, DDS, heuristics). Per sampled
 world the kernel computes ρ* and the maximum-sized densest subgraph
-once, then scores every candidate: U is densest iff its induced density
-equals ρ* (> 0); U is contained iff U ⊆ the max-sized densest subgraph
-(footnote 5). Aggregation is a Catalyst groupBy over candidate ids.
+once, then scores every candidate. U is contained iff U ⊆ the max-sized
+densest subgraph (footnote 5). Containment is tested first: every
+densest subgraph lies inside that union, so only a contained U can be
+densest, and only then is its induced density computed; U is densest
+iff that density equals ρ* (> 0). Aggregation is a Catalyst groupBy
+over candidate ids.
 
 Also exact expected densities (no sampling, Theorem 7 / linearity).
 """
@@ -21,7 +24,7 @@ from pyspark.sql import functions as F
 
 from ..graphs.alldense import all_densest, instances
 from ..graphs.graph import relabel
-from ..graphs.patterns import instance_edges
+from ..graphs.patterns import instance_edge_ids
 from .mpds import map_worlds
 from .uncertain import UncertainGraph
 
@@ -35,11 +38,10 @@ def _induced_density(
     it must cover every node id of ``edges``.
     """
     sub = edges[member[edges[:, 0]] & member[edges[:, 1]]]
-    size = int(np.count_nonzero(member))
-    if notion == "edge":
-        return Fraction(len(sub), size)
     ce, ids = relabel(sub)
-    return Fraction(len(instances(ce, len(ids), notion)), size)
+    return Fraction(
+        len(instances(ce, len(ids), notion)), int(np.count_nonzero(member))
+    )
 
 
 def estimate_set_probs(
@@ -67,10 +69,9 @@ def estimate_set_probs(
             if not U:  # empty baseline set (e.g. empty truss)
                 rows.append((ci, 0.0, 0.0))
                 continue
-            dens = _induced_density(we, notion, member)
-            is_ds = int(res.rho > 0 and dens == res.rho)
-            contained = int(bool(res.max_sized) and U <= res.max_sized)
-            rows.append((ci, is_ds * w, contained * w))
+            contained = bool(res.max_sized) and U <= res.max_sized
+            is_ds = contained and _induced_density(we, notion, member) == res.rho
+            rows.append((ci, int(is_ds) * w, int(contained) * w))
         return rows
 
     out = (
@@ -93,28 +94,15 @@ def estimate_set_probs(
 def expected_density(ug: UncertainGraph, U: frozenset[int], notion: str = "edge") -> float:
     """Exact expected density of the subgraph induced by U.
 
-    Edge density: Σ_{e ⊆ U} p(e) / |U| (linearity). Clique/pattern
-    density: Theorem 7 — Σ over instances within U of Π edge probs,
-    divided by |U|.
+    Theorem 7: Σ over the instances within U of Π edge probs, divided by
+    |U|. For edge density each instance is one edge, so this is
+    Σ_{e ⊆ U} p(e) / |U| (linearity).
     """
     if not U:
         return 0.0
-    keep = np.array(
-        [int(u) in U and int(v) in U for u, v in ug.edges], dtype=bool
-    )
-    sub_e = ug.edges[keep]
-    sub_p = ug.probs[keep]
-    if notion == "edge":
-        return float(sub_p.sum() / len(U))
-    prob_of = {
-        (int(u), int(v)): float(p) for (u, v), p in zip(sub_e, sub_p)
-    }
-    ce, ids = relabel(sub_e)
-    total = 0.0
-    for inst in instances(ce, len(ids), notion).tolist():
-        w = 1.0
-        for a, b in instance_edges(inst, notion):
-            oa, ob = int(ids[a]), int(ids[b])
-            w *= prob_of[(min(oa, ob), max(oa, ob))]
-        total += w
-    return total / len(U)
+    member = np.zeros(max(ug.n, max(U) + 1), dtype=bool)
+    member[list(U)] = True
+    keep = member[ug.edges[:, 0]] & member[ug.edges[:, 1]]
+    ce, ids = relabel(ug.edges[keep])
+    rows = instance_edge_ids(instances(ce, len(ids), notion), ce, notion)
+    return float(ug.probs[keep][rows].prod(axis=1).sum() / len(U))

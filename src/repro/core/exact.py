@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 
 from ..graphs.alldense import instances
 from ..graphs.graph import canonical_edges
-from ..graphs.patterns import instance_edges
+from ..graphs.patterns import instance_edge_ids
 from .mpds import one_wave, reread_zips_on_change
 from .uncertain import UncertainGraph
 
@@ -39,31 +39,28 @@ def _prepare(ug: UncertainGraph, notion: str):
             f"exact enumeration needs m <= {MAX_EXACT_EDGES}, got {m}"
         )
     n = ug.n
-    eidx = {(int(u), int(v)): i for i, (u, v) in enumerate(edges)}
     insts = instances(edges, n, notion)
-    inst_masks = []
-    inst_nodes = []
-    for inst in insts.tolist():
-        mask = 0
-        for a, b in instance_edges(inst, notion):
-            mask |= 1 << eidx[(min(a, b), max(a, b))]
-        inst_masks.append(mask)
-        inst_nodes.append(frozenset(inst))
+    one = np.uint64(1)
+    rows = instance_edge_ids(insts, edges, notion).astype(np.uint64)
+    inst_masks = np.bitwise_or.reduce(one << rows, axis=1)
     # all non-empty node subsets over nodes that appear in some edge
-    active = sorted({int(v) for e in edges for v in e})
+    active = np.unique(edges)
     na = len(active)
-    subsets = []
-    sub_sizes = []
-    for smask in range(1, 1 << na):
-        S = frozenset(active[i] for i in range(na) if (smask >> i) & 1)
-        subsets.append(S)
-        sub_sizes.append(len(S))
+    nodes = active.tolist()
+    subsets = [
+        frozenset(v for i, v in enumerate(nodes) if (smask >> i) & 1)
+        for smask in range(1, 1 << na)
+    ]
+    # instance i lies in subset S iff its node bitmask over ``active`` is
+    # inside S's
+    smasks = np.arange(1, 1 << na, dtype=np.uint64)
+    inst_nodes = np.bitwise_or.reduce(
+        one << np.searchsorted(active, insts).astype(np.uint64), axis=1
+    )
     member = np.zeros((len(subsets), max(len(insts), 1)), dtype=np.float32)
-    for si, S in enumerate(subsets):
-        for ii, nodes in enumerate(inst_nodes):
-            if nodes <= S:
-                member[si, ii] = 1.0
-    return edges, insts, np.array(inst_masks, dtype=np.uint64), member, subsets, np.array(sub_sizes, dtype=np.float64)
+    member[:, : len(insts)] = (smasks[:, None] & inst_nodes) == inst_nodes
+    sub_sizes = np.array([len(S) for S in subsets], dtype=np.float64)
+    return edges, insts, inst_masks, member, subsets, sub_sizes
 
 
 def exact_tau(

@@ -146,9 +146,11 @@ def world_results_df(
 
     def solve(wid, we, w, state):
         if heuristic:
-            hres = heuristic_dense(we, notion)
-            subs, rho, max_sized = hres.subgraphs, float(hres.rho), hres.best
-            truncated = False
+            # One heuristic set per world (§III-C), as its only subgraph
+            # and its max row.
+            hrho, max_sized = heuristic_dense(we, notion)
+            subs = [max_sized] if max_sized else []
+            rho, truncated = float(hrho), False
         else:
             res = all_densest(we, notion, max_enum)
             subs, rho, max_sized = res.subgraphs, float(res.rho), res.max_sized
@@ -193,13 +195,12 @@ def topk_mpds(
     seed: int = 0,
     method: str = "mc",
     all_subgraphs: bool = True,
-    heuristic: bool = False,
     max_enum: int = 100_000,
 ) -> MPDSResult:
     """Top-k MPDS estimation (Algorithm 1). τ̂(U) = Σ weights / θ."""
     df = world_results_df(
         spark, ug, theta, notion, seed, method, all_subgraphs,
-        heuristic, max_enum,
+        max_enum=max_enum,
     )
     agg = (
         df.filter(F.col("kind") == "ds")

@@ -12,6 +12,15 @@ Instances are non-induced embeddings modulo pattern automorphisms; an
 instance is a node tuple. μ_ψ(G) = number of instances; deg(v, ψ) =
 number of instances containing v. Distinct instances may share a node
 set — Algorithm 7's flow network groups them by node set.
+
+This module is the one place that knows which node pairs of an
+instance are edges: ``instance_pairs`` gives them as column pairs of
+the instance array (every pair for ``edge`` and ``clique:h``), and
+``instance_edge_ids`` maps a ``(count, h)`` instance array to the row
+ids of those edges in the canonical edge array. An instance exists with
+probability Π p(e) over them (Theorem 7), which the expected densest
+subgraph, the exact expected density and the exact 2^m enumerator
+read as array expressions on the ids.
 """
 from __future__ import annotations
 
@@ -29,16 +38,18 @@ class Pattern:
 
     name: str
     n_nodes: int  # |V_ψ|
+    pairs: tuple[tuple[int, int], ...]  # E_ψ as columns of an instance tuple
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
 
 PATTERNS = {
-    "2-star": Pattern("2-star", 3),
-    "3-star": Pattern("3-star", 4),
-    "c3-star": Pattern("c3-star", 4),
-    "diamond": Pattern("diamond", 4),
+    # Column pairs follow the tuple conventions of enumerate_instances.
+    "2-star": Pattern("2-star", 3, ((0, 1), (0, 2))),
+    "3-star": Pattern("3-star", 4, ((0, 1), (0, 2), (0, 3))),
+    "c3-star": Pattern("c3-star", 4, ((0, 1), (0, 2), (1, 2), (0, 3))),
+    "diamond": Pattern("diamond", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))),
 }
 
 
@@ -90,25 +101,29 @@ def enumerate_instances(
     return out
 
 
-def instance_edges(inst: tuple[int, ...], notion: str) -> list[tuple[int, int]]:
-    """The edges of one instance of ``notion``, per the tuple conventions
-    of :func:`enumerate_instances`. An edge or h-clique instance has every
-    pair of its nodes. Used for instance existence probabilities
-    (Theorem 7) and for edge-masks in the exact possible-world
-    enumerator."""
-    if notion == "2-star":
-        c, a, b = inst
-        return [(c, a), (c, b)]
-    if notion == "3-star":
-        c, a, b, d = inst
-        return [(c, a), (c, b), (c, d)]
-    if notion == "c3-star":
-        x, t1, t2, pend = inst
-        return [(x, t1), (x, t2), (t1, t2), (x, pend)]
-    if notion == "diamond":
-        u, v, w, x = inst
-        return [(u, v), (u, w), (u, x), (v, w), (v, x)]
-    return list(combinations(inst, 2))
+def instance_pairs(notion: str) -> tuple[tuple[int, int], ...]:
+    """The edges of ``notion``'s instances as column pairs of an instance
+    tuple. An edge or h-clique instance has every pair of its nodes."""
+    if notion in PATTERNS:
+        return PATTERNS[notion].pairs
+    h = 2 if notion == "edge" else int(notion.split(":")[1])
+    return tuple(combinations(range(h), 2))
+
+
+def instance_edge_ids(
+    insts: np.ndarray, edges: np.ndarray, notion: str
+) -> np.ndarray:
+    """Row ids in ``edges`` of every instance's edges, ``(count, |E_ψ|)``.
+
+    ``edges`` is canonical (u < v, lexsorted), so with n above every id
+    the key ``u*n + v`` of its rows is sorted and ``np.searchsorted``
+    finds each pair. Columns follow :func:`instance_pairs`.
+    """
+    n = int(edges.max(initial=0)) + 1
+    cols = np.array(instance_pairs(notion), dtype=np.int64)
+    a, b = insts[:, cols[:, 0]], insts[:, cols[:, 1]]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    return np.searchsorted(edges[:, 0] * n + edges[:, 1], keys)
 
 
 def group_instances(

@@ -119,11 +119,13 @@ def k_core_nodes(
 
 def instance_peel(
     instances: np.ndarray, n: int
-) -> tuple[list[int], list[Fraction], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Sequential min-instance-degree peel.
 
-    Returns ``(removal_order, density_after_each_removal,
-    degree_at_each_removal)``. The degree trace gives core numbers for
+    Returns ``(removal_order, instances_left_after_each_removal,
+    degree_at_each_removal)``. The suffix left after removal i has
+    ``len(removal_order) - i - 1`` nodes, so its density is the i-th
+    instance total over that. The degree trace gives core numbers for
     free: cn(v) = running max of the popped degree up to v's removal
     (Batagelj–Zaversnik). Nodes not in any instance are treated as
     removed up front (they can never be in a densest subgraph with
@@ -143,7 +145,7 @@ def instance_peel(
     heap = [(d, v) for v, d in enumerate(deg) if d > 0]
     heapq.heapify(heap)
     removal_order: list[int] = []
-    densities: list[Fraction] = []
+    totals: list[int] = []
     pop_degrees: list[int] = []
     removed = [False] * n
     while n_alive > 0 and heap:
@@ -162,5 +164,5 @@ def instance_peel(
                     if u != v and not removed[u]:
                         deg[u] -= 1
                         heapq.heappush(heap, (deg[u], u))
-        densities.append(Fraction(total, n_alive) if n_alive > 0 else Fraction(0))
-    return removal_order, densities, pop_degrees
+        totals.append(total)
+    return removal_order, totals, pop_degrees

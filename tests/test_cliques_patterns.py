@@ -4,13 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.graphs.alldense import instances
 from repro.graphs.cliques import degeneracy_order, list_cliques
 from repro.graphs.graph import adjacency_sets, canonical_edges
 from repro.graphs.patterns import (
     PATTERNS,
     enumerate_instances,
     group_instances,
-    instance_edges,
+    instance_edge_ids,
+    instance_pairs,
 )
 
 
@@ -114,21 +116,30 @@ def test_group_instances():
 
 
 def test_instance_pattern_edges_within_instance():
-    e = canonical_edges(np.array([[0, 1], [0, 2], [1, 2], [0, 3]]))
-    for name in PATTERNS:
-        for inst in enumerate_instances(e, 4, name):
-            pe = instance_edges(inst, name)
-            # every declared edge must be a real graph edge
-            have = {(int(u), int(v)) for u, v in e}
-            for a, b in pe:
+    # a diamond (K4 minus 2-3) with a pendant: every pattern has instances
+    e = canonical_edges(np.array([[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [3, 4]]))
+    have = {(int(u), int(v)) for u, v in e}
+    for name in [*PATTERNS, "clique:3"]:
+        insts = instances(e, 5, name)
+        assert len(insts) > 0
+        rows = instance_edge_ids(insts, e, name)
+        assert rows.shape == (len(insts), len(instance_pairs(name)))
+        # every declared pair is a real graph edge, and its row is that edge
+        for inst, row in zip(insts.tolist(), rows.tolist()):
+            for (i, j), r in zip(instance_pairs(name), row):
+                a, b = inst[i], inst[j]
                 assert (min(a, b), max(a, b)) in have
+                assert tuple(e[r].tolist()) == (min(a, b), max(a, b))
 
 
 def test_instance_pattern_edges_clique():
-    assert sorted(instance_edges((1, 2, 3), "clique:3")) == [
-        (1, 2), (1, 3), (2, 3)
-    ]
-    assert instance_edges((4, 7), "edge") == [(4, 7)]
+    assert instance_pairs("clique:3") == ((0, 1), (0, 2), (1, 2))
+    assert instance_pairs("edge") == ((0, 1),)
+    e = canonical_edges(np.array([[0, 1], [1, 2], [0, 2], [2, 5], [3, 4]]))
+    # edge maps each row to itself
+    np.testing.assert_array_equal(
+        instance_edge_ids(e, e, "edge"), np.arange(len(e))[:, None]
+    )
 
 
 def test_unknown_pattern_raises():

@@ -126,12 +126,15 @@ def test_charikar_peel_empty():
 def test_instance_peel_matches_edge_peel_on_edges():
     # triangle + pendant: whole graph (4/4) ties the triangle (3/3)
     e = canonical_edges(np.array([[0, 1], [1, 2], [0, 2], [2, 3]]))
-    order, dens, degs = instance_peel(e, 4)
+    order, totals, degs = instance_peel(e, 4)
     best_e, set_e = charikar_peel(e, 4)
+    # the suffix left after removal i has 4 - i - 1 nodes
+    dens = [Fraction(t, 3 - i) for i, t in enumerate(totals[:-1])]
     assert max([Fraction(len(e), 4), *dens]) == best_e == Fraction(1)
     assert set_e in ({0, 1, 2}, {0, 1, 2, 3})
     assert order[0] == 3 and degs[0] == 1
-    assert len(order) == len(dens) == len(degs) == 4
+    assert len(order) == len(totals) == len(degs) == 4
+    assert totals == [3, 1, 0, 0]
 
 
 @pytest.mark.parametrize("width", [2, 3])
@@ -162,5 +165,5 @@ def test_instance_core_removal_cascade():
 
 
 def test_instance_peel_empty():
-    order, dens, degs = instance_peel(np.empty((0, 3), dtype=np.int64), 4)
-    assert order == [] and dens == [] and degs == []
+    order, totals, degs = instance_peel(np.empty((0, 3), dtype=np.int64), 4)
+    assert order == [] and totals == [] and degs == []

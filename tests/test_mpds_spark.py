@@ -5,7 +5,6 @@ import pytest
 from repro.core.estimate import estimate_set_probs
 from repro.core.mpds import (
     ZIP_STAMP_MARK,
-    MPDSResult,
     map_worlds,
     topk_mpds,
     world_results_df,
@@ -74,12 +73,6 @@ def test_unbiasedness_against_exact(spark, fig1):
     }
     for s, t in res.top:
         assert t == pytest.approx(exact[s], abs=0.04)
-
-
-def test_heuristic_mode_runs(spark):
-    ug = karate_club()
-    res = topk_mpds(spark, ug, k=1, theta=30, seed=7, heuristic=True)
-    assert isinstance(res, MPDSResult) and res.best_set
 
 
 def test_world_stats_schema(spark, fig1):
