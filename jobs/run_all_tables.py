@@ -9,10 +9,14 @@ from __future__ import annotations
 import json
 import sys
 import time
+from pathlib import Path
 
 from _common import session, show
 
 from repro.experiments import tables as T
+
+# Next to this script, whatever the working directory.
+MEASURED = Path(__file__).resolve().parent / "tables_measured.json"
 
 RUNNERS = {
     "table3": lambda s: T.table3_nds_compare(s),
@@ -37,8 +41,7 @@ def main() -> None:
     spark.sparkContext.setLogLevel("ERROR")
     results = {}
     try:  # merge with earlier partial runs
-        with open("tables_measured.json") as f:
-            results = json.load(f)
+        results = json.loads(MEASURED.read_text())
     except (OSError, json.JSONDecodeError):
         pass
     for name in which:
@@ -47,9 +50,8 @@ def main() -> None:
         secs = time.time() - t0
         show(f"{name} ({secs:.1f}s)", df)
         results[name] = json.loads(df.to_json(orient="records"))
-    with open("tables_measured.json", "w") as f:
-        json.dump(results, f, indent=2, default=str)
-    print("\nwrote tables_measured.json")
+    MEASURED.write_text(json.dumps(results, indent=2, default=str))
+    print(f"\nwrote {MEASURED}")
     spark.stop()
 
 

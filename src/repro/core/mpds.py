@@ -3,12 +3,19 @@
 Dataflow: ``spark.range(θ)`` enumerates possible-world ids; a
 ``mapInPandas`` kernel samples each partition's worlds (seeded, so runs
 are reproducible) and enumerates ALL densest subgraphs of each world
-with the exact per-world pipelines in ``repro.graphs``; per-set
-frequencies τ̂ are then a Catalyst ``groupBy``/``sum`` aggregation and
-the top-k is a sort-limit. One row per (world, densest subgraph), plus
-one ``kind='max'`` row per world (the maximum-sized densest subgraph —
+with the exact per-world pipelines in ``repro.graphs``. The world table
+has one ``kind='ds'`` row per (world, densest subgraph), one
+``kind='max'`` row per world (the maximum-sized densest subgraph —
 Algorithm 5's candidate) and one ``kind='meta'`` row per world carrying
-ρ*, the number of densest subgraphs, and the sampler state size.
+ρ*, the number of densest subgraphs, and the sampler state size. A row's
+``nodeset`` is a sorted ``array<int>`` (empty on ``meta`` rows).
+
+Consumers are queries on that table. ``topk_sets`` sums weights per
+node set into τ̂ (a Catalyst ``groupBy``) and ties by
+``array_join(nodeset, ",")``, the comma-joined string, so ``{10,11}``
+ranks before ``{2,3}``. Table IX's one-per-world ablation keeps, per
+world, the ``ds`` row with the least ``xxhash64(seed, world_id,
+nodeset)`` (``one_per_world``).
 """
 from __future__ import annotations
 
@@ -18,9 +25,8 @@ import zipimport
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from ..graphs.alldense import all_densest
@@ -29,14 +35,13 @@ from .sampling import sample_block
 from .uncertain import UncertainGraph
 
 WORLD_SCHEMA = (
-    "world_id long, kind string, nodeset string, set_size int, "
+    "world_id long, kind string, nodeset array<int>, "
     "rho double, n_densest long, truncated boolean, weight double, "
     "state_bytes long"
 )
 
-
-def _key(nodes) -> str:
-    return ",".join(str(v) for v in sorted(nodes))
+# Densest subgraphs enumerated per world unless a caller caps it lower.
+DEFAULT_MAX_ENUM = 100_000
 
 
 ZIP_STAMP_MARK = "_repro_rereads_on_change"
@@ -137,9 +142,8 @@ def world_results_df(
     notion: str = "edge",
     seed: int = 0,
     method: str = "mc",
-    all_subgraphs: bool = True,
     heuristic: bool = False,
-    max_enum: int = 100_000,
+    max_enum: int = DEFAULT_MAX_ENUM,
     n_partitions: int | None = None,
 ) -> DataFrame:
     """Per-world densest-subgraph rows for θ sampled worlds (see module doc)."""
@@ -155,16 +159,11 @@ def world_results_df(
             res = all_densest(we, notion, max_enum)
             subs, rho, max_sized = res.subgraphs, float(res.rho), res.max_sized
             truncated = res.truncated
-        if not all_subgraphs and subs:
-            # Table IX ablation: keep ONE randomly chosen densest
-            # subgraph per world instead of all of them.
-            g = np.random.default_rng(np.random.SeedSequence([seed, 7, wid]))
-            subs = [subs[int(g.integers(len(subs)))]]
         tail = (rho, len(subs), truncated, w, state)
-        rows = [(wid, "ds", _key(S), len(S), *tail) for S in subs]
+        rows = [(wid, "ds", sorted(S), *tail) for S in subs]
         if max_sized:
-            rows.append((wid, "max", _key(max_sized), len(max_sized), *tail))
-        rows.append((wid, "meta", "", 0, *tail))
+            rows.append((wid, "max", sorted(max_sized), *tail))
+        rows.append((wid, "meta", [], *tail))
         return rows
 
     return map_worlds(
@@ -186,6 +185,27 @@ class MPDSResult:
         return self.top[0][1] if self.top else 0.0
 
 
+def topk_sets(ds: DataFrame, theta: int, k: int) -> list[tuple[frozenset[int], float]]:
+    """Top-k node sets of ``ds`` rows by τ̂ = Σ weights / θ (see module doc)."""
+    agg = (
+        ds.groupBy("nodeset")
+        .agg((F.sum("weight") / F.lit(float(theta))).alias("tau_hat"))
+        .orderBy(F.desc("tau_hat"), F.array_join("nodeset", ","))
+        .limit(k)
+    )
+    return [(frozenset(r["nodeset"]), float(r["tau_hat"])) for r in agg.collect()]
+
+
+def one_per_world(ds: DataFrame, seed: int) -> DataFrame:
+    """One ``ds`` row per world, picked by a seeded hash (see module doc)."""
+    pick = Window.partitionBy("world_id").orderBy(
+        F.xxhash64(F.lit(seed), "world_id", "nodeset"),
+        F.array_join("nodeset", ","),
+    )
+    ranked = ds.withColumn("_pick", F.row_number().over(pick))
+    return ranked.filter("_pick = 1").drop("_pick")
+
+
 def topk_mpds(
     spark: SparkSession,
     ug: UncertainGraph,
@@ -194,26 +214,11 @@ def topk_mpds(
     notion: str = "edge",
     seed: int = 0,
     method: str = "mc",
-    all_subgraphs: bool = True,
-    max_enum: int = 100_000,
+    max_enum: int = DEFAULT_MAX_ENUM,
 ) -> MPDSResult:
     """Top-k MPDS estimation (Algorithm 1). τ̂(U) = Σ weights / θ."""
-    df = world_results_df(
-        spark, ug, theta, notion, seed, method, all_subgraphs,
-        max_enum=max_enum,
-    )
-    agg = (
-        df.filter(F.col("kind") == "ds")
-        .groupBy("nodeset")
-        .agg((F.sum("weight") / F.lit(float(theta))).alias("tau_hat"))
-        .orderBy(F.desc("tau_hat"), F.asc("nodeset"))
-        .limit(k)
-    )
-    top = [
-        (frozenset(int(x) for x in r["nodeset"].split(",")), float(r["tau_hat"]))
-        for r in agg.collect()
-    ]
-    return MPDSResult(top, theta)
+    df = world_results_df(spark, ug, theta, notion, seed, method, max_enum=max_enum)
+    return MPDSResult(topk_sets(df.filter("kind = 'ds'"), theta, k), theta)
 
 
 def world_stats(
@@ -222,7 +227,7 @@ def world_stats(
     theta: int,
     notion: str = "edge",
     seed: int = 0,
-    max_enum: int = 100_000,
+    max_enum: int = DEFAULT_MAX_ENUM,
 ) -> pd.DataFrame:
     """Per-world (ρ*, #densest subgraphs) — Table VIII's distribution."""
     df = world_results_df(spark, ug, theta, notion, seed, max_enum=max_enum)

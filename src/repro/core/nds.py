@@ -51,8 +51,7 @@ def topk_nds(
     (§III-C remark; Tables XI, XII).
     """
     df = world_results_df(
-        spark, ug, theta, notion, seed, method,
-        all_subgraphs=True, heuristic=heuristic,
+        spark, ug, theta, notion, seed, method, heuristic=heuristic,
         # NDS only needs the max-sized subgraph; keep enumeration cheap.
         max_enum=1,
     )
@@ -61,10 +60,7 @@ def topk_nds(
         .select("nodeset", "weight")
         .collect()
     )
-    transactions = [
-        (frozenset(int(x) for x in r["nodeset"].split(",")), float(r["weight"]))
-        for r in rows
-    ]
+    transactions = [(frozenset(r["nodeset"]), float(r["weight"])) for r in rows]
     top = [
         (s, sup / theta)
         for s, sup in topk_closed_itemsets(transactions, k, l_m)

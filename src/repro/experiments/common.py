@@ -1,8 +1,10 @@
 """Shared experiment plumbing: dataset registry, θ defaults, purity."""
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable
 
+from ..core.mpds import DEFAULT_MAX_ENUM
 from ..core.uncertain import UncertainGraph
 from ..datasets import (
     biomine_lite,
@@ -36,6 +38,10 @@ THETA: dict[str, int] = {
     "twitter_lite": 320,
     "friendster_lite": 160,
 }
+
+# Densest subgraphs enumerated per world. LastFM's tied worlds run to
+# millions (Table VIII), so its cap is lower; MPDS queries pass it on.
+MAX_ENUM: defaultdict[str, int] = defaultdict(lambda: DEFAULT_MAX_ENUM, lastfm=20_000)
 
 _CACHE: dict[str, UncertainGraph] = {}
 

@@ -21,16 +21,22 @@ from ..baselines import (
     innermost_eta_core,
     innermost_gamma_truss,
 )
+from ..baselines.ucore import eta_core_numbers
+from ..baselines.utruss import gamma_truss_numbers
 from ..core.estimate import estimate_set_probs, expected_density
 from ..core.exact import exact_topk_mpds
-from ..core.mpds import topk_mpds, world_stats
+from ..core.mpds import (
+    one_per_world, topk_mpds, topk_sets, world_results_df, world_stats,
+)
 from ..core.nds import topk_nds
+from ..core.sampling import sample_block
+from ..core.uncertain import UncertainGraph
 from ..datasets.synth_small import ba_graph, er_graph
 from ..spark_graph.metrics import (
     probabilistic_clustering_coefficient,
     probabilistic_density,
 )
-from .common import THETA, load, purity
+from .common import MAX_ENUM, THETA, load, purity
 
 PAPER: dict[str, dict] = {
     "table3": {  # containment probs + expected densities (NDS page)
@@ -170,8 +176,7 @@ def table4_mpds_compare(
     for name in datasets:
         ug = load(name)
         th = theta or THETA[name]
-        max_enum = 20_000 if name == "lastfm" else 100_000
-        res = topk_mpds(spark, ug, k=1, theta=th, seed=seed, max_enum=max_enum)
+        res = topk_mpds(spark, ug, k=1, theta=th, seed=seed, max_enum=MAX_ENUM[name])
         mpds = res.best_set
         eds, core, truss = _baseline_sets(ug)
         probs = estimate_set_probs(
@@ -196,9 +201,8 @@ def _ours_set(spark, name, theta, seed):
     """MPDS set for the small datasets, NDS set for the large ones (§VI-B)."""
     ug = load(name)
     if name in ("karate", "intel", "lastfm"):
-        max_enum = 20_000 if name == "lastfm" else 100_000
         return ug, topk_mpds(
-            spark, ug, k=1, theta=theta, seed=seed, max_enum=max_enum
+            spark, ug, k=1, theta=theta, seed=seed, max_enum=MAX_ENUM[name]
         ).best_set
     return ug, topk_nds(spark, ug, k=1, l_m=4, theta=theta, seed=seed).best_set
 
@@ -264,8 +268,7 @@ def table7_mpds_vs_dds(
     for name in datasets:
         ug = load(name)
         th = theta or THETA[name]
-        max_enum = 20_000 if name == "lastfm" else 100_000
-        res = topk_mpds(spark, ug, k=1, theta=th, seed=seed, max_enum=max_enum)
+        res = topk_mpds(spark, ug, k=1, theta=th, seed=seed, max_enum=MAX_ENUM[name])
         dds, _ = deterministic_densest(ug)
         # Scored on Algorithm 1's sample (see table3 comment).
         probs = estimate_set_probs(spark, ug, [dds], theta=th, seed=seed)
@@ -313,24 +316,27 @@ def table9_all_vs_one(
     theta: int | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Avg τ̂ of the top-10 MPDSs: all densest subgraphs vs one per world."""
+    """Avg τ̂ of the top-10 MPDSs: all densest subgraphs vs one per world.
+
+    Both columns query one persisted world table: "all" credits every
+    densest subgraph of a world, "one" only the one ``one_per_world``
+    picks.
+    """
     rows = []
     for name in datasets:
         ug = load(name)
         th = theta or THETA[name]
-        max_enum = 20_000 if name == "lastfm" else 100_000
         for notion in notions:
-            r_all = topk_mpds(
-                spark, ug, k=10, theta=th, notion=notion, seed=seed,
-                all_subgraphs=True, max_enum=max_enum,
-            )
-            r_one = topk_mpds(
-                spark, ug, k=10, theta=th, notion=notion, seed=seed,
-                all_subgraphs=False, max_enum=max_enum,
-            )
-            avg = lambda r: float(np.mean([t for _, t in r.top])) if r.top else 0.0  # noqa: E731
+            df = world_results_df(spark, ug, th, notion, seed, max_enum=MAX_ENUM[name])
+            ds = df.filter("kind = 'ds'").persist()
+            try:
+                top_all = topk_sets(ds, th, 10)
+                top_one = topk_sets(one_per_world(ds, seed), th, 10)
+            finally:
+                ds.unpersist()
+            avg = lambda top: float(np.mean([t for _, t in top])) if top else 0.0  # noqa: E731
             rows.append(
-                dict(dataset=name, notion=notion, all=avg(r_all), one=avg(r_one))
+                dict(dataset=name, notion=notion, all=avg(top_all), one=avg(top_one))
             )
     return pd.DataFrame(rows)
 
@@ -345,10 +351,6 @@ def table10_purity(
     karate has few distinct shells, so large k rows are blank (as in the
     paper).
     """
-    from ..baselines.ucore import eta_core_numbers
-    from ..baselines.utruss import gamma_truss_numbers
-    from ..core.uncertain import UncertainGraph
-
     ug = load("karate")
     comm = ug.meta["communities"]
     res = topk_mpds(spark, ug, k=max(ks), theta=theta, seed=seed)
@@ -457,28 +459,32 @@ def table12_friendster_nds(
     return pd.DataFrame(rows)
 
 
-def _converged_theta(run, thetas=(10, 20, 40, 80, 160, 320, 640)) -> tuple[int, float]:
-    """Double θ until the returned top-k stabilizes (avg Jaccard ≥ .99).
+def _sampling_table(ug, query, seed: int, thetas) -> pd.DataFrame:
+    """Per sampling method: converged θ, its run's seconds, sampler state.
 
-    Returns (θ at convergence, wall-seconds of the converged run).
+    θ doubles through ``thetas`` until the top-k of ``query(θ, method)``
+    stabilizes (avg Jaccard ≥ .99 against the previous θ's). The state
+    bytes come from a direct draw of the first block of worlds (per-task
+    bookkeeping).
     """
-    prev = None
-    for th in thetas:
-        t0 = time.time()
-        sets = run(th)
-        secs = time.time() - t0
-        if prev is not None and sets and prev:
-            inter = [
-                max(
-                    (len(a & b) / max(1, len(a | b)) for b in prev),
-                    default=0.0,
-                )
-                for a in sets
-            ]
-            if float(np.mean(inter)) >= 0.99:
-                return th, secs
-        prev = sets
-    return thetas[-1], secs
+    rows = []
+    for method in ("mc", "lp", "rss"):
+        prev = None
+        for th in thetas:
+            t0 = time.time()
+            sets = [s for s, _ in query(th, method).top]
+            secs = time.time() - t0
+            if prev and sets:
+                inter = [
+                    max((len(a & b) / max(1, len(a | b)) for b in prev), default=0.0)
+                    for a in sets
+                ]
+                if float(np.mean(inter)) >= 0.99:
+                    break
+            prev = sets
+        _, _, state = sample_block(ug.probs, 0, min(th, 64), seed, method, th)
+        rows.append(dict(method=method, theta=th, secs=secs, state_bytes=state))
+    return pd.DataFrame(rows)
 
 
 def table13_sampling_mpds(
@@ -486,19 +492,11 @@ def table13_sampling_mpds(
 ) -> pd.DataFrame:
     """MC vs LP vs RSS for MPDS on Intel: converged θ, runtime, memory."""
     ug = load("intel")
-    rows = []
-    for method in ("mc", "lp", "rss"):
-        def run(th, method=method):
-            r = topk_mpds(spark, ug, k=k, theta=th, seed=seed, method=method)
-            return [s for s, _ in r.top]
 
-        th, secs = _converged_theta(run)
-        # sampler state bytes from a direct draw (per-task bookkeeping)
-        from ..core.sampling import sample_block
+    def query(th, method):
+        return topk_mpds(spark, ug, k=k, theta=th, seed=seed, method=method)
 
-        _, _, state = sample_block(ug.probs, 0, min(th, 64), seed, method, th)
-        rows.append(dict(method=method, theta=th, secs=secs, state_bytes=state))
-    return pd.DataFrame(rows)
+    return _sampling_table(ug, query, seed, (10, 20, 40, 80, 160, 320, 640))
 
 
 def table14_sampling_nds(
@@ -506,20 +504,11 @@ def table14_sampling_nds(
 ) -> pd.DataFrame:
     """MC vs LP vs RSS for NDS on biomine_lite: θ, runtime, memory."""
     ug = load("biomine_lite")
-    rows = []
-    for method in ("mc", "lp", "rss"):
-        def run(th, method=method):
-            r = topk_nds(
-                spark, ug, k=k, l_m=4, theta=th, seed=seed, method=method
-            )
-            return [s for s, _ in r.top]
 
-        th, secs = _converged_theta(run, thetas=(20, 40, 80, 160, 320))
-        from ..core.sampling import sample_block
+    def query(th, method):
+        return topk_nds(spark, ug, k=k, l_m=4, theta=th, seed=seed, method=method)
 
-        _, _, state = sample_block(ug.probs, 0, min(th, 64), seed, method, th)
-        rows.append(dict(method=method, theta=th, secs=secs, state_bytes=state))
-    return pd.DataFrame(rows)
+    return _sampling_table(ug, query, seed, (20, 40, 80, 160, 320))
 
 
 EXACT_GRAPHS = {

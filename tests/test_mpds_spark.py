@@ -6,7 +6,9 @@ from repro.core.estimate import estimate_set_probs
 from repro.core.mpds import (
     ZIP_STAMP_MARK,
     map_worlds,
+    one_per_world,
     topk_mpds,
+    topk_sets,
     world_results_df,
     world_stats,
 )
@@ -54,13 +56,14 @@ def test_empty_worlds_contribute_nothing(spark):
 
 def test_one_vs_all_subgraphs(spark):
     # two disjoint edges with prob 1: every world has 3 densest subgraphs;
-    # all-mode credits each, one-mode credits one per world.
+    # "all" credits each, "one" credits the one picked per world.
     ug = UncertainGraph.from_edges([(0, 1), (2, 3)], [1.0, 1.0], n=4)
-    r_all = topk_mpds(spark, ug, k=5, theta=60, seed=5, all_subgraphs=True)
-    assert len(r_all.top) == 3
-    assert all(t == pytest.approx(1.0) for _, t in r_all.top)
-    r_one = topk_mpds(spark, ug, k=5, theta=60, seed=5, all_subgraphs=False)
-    assert sum(t for _, t in r_one.top) == pytest.approx(1.0)
+    ds = world_results_df(spark, ug, 60, seed=5).filter("kind = 'ds'")
+    top_all = topk_sets(ds, 60, 5)
+    assert len(top_all) == 3
+    assert all(t == pytest.approx(1.0) for _, t in top_all)
+    top_one = topk_sets(one_per_world(ds, 5), 60, 5)
+    assert sum(t for _, t in top_one) == pytest.approx(1.0)
 
 
 def test_unbiasedness_against_exact(spark, fig1):
@@ -124,14 +127,18 @@ def test_graph_broadcast_once_per_context(spark, monkeypatch):
 
 
 def _ds_rows(df):
-    rows = df.filter(df.kind == "ds").select("world_id", "nodeset", "weight")
-    return sorted(tuple(r) for r in rows.collect())
+    ds = df.filter(df.kind == "ds")
+    return [
+        sorted(tuple(r) for r in d.select("world_id", "nodeset", "weight").collect())
+        for d in (ds, one_per_world(ds, 6))
+    ]
 
 
 @pytest.mark.parametrize("method", ["mc", "lp", "rss"])
 def test_worlds_independent_of_partitioning(spark, method):
-    """A world's densest subgraphs do not depend on how Spark cuts the
-    world ids into partitions, nor on the Arrow batch size."""
+    """A world's densest subgraphs, and the one Table IX picks from them,
+    do not depend on how Spark cuts the world ids into partitions, nor on
+    the Arrow batch size."""
     ug = karate_club()
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
 
@@ -139,7 +146,9 @@ def test_worlds_independent_of_partitioning(spark, method):
         return _ds_rows(world_results_df(spark, ug, 20, seed=6, method=method, **kw))
 
     ref = rows(n_partitions=1)
-    assert ref
+    every, picked = ref
+    assert every
+    assert [r[0] for r in picked] == sorted({r[0] for r in every})
     for n in (3, 8):
         assert rows(n_partitions=n) == ref
     old = spark.conf.get(key)

@@ -2,11 +2,15 @@
 
 ``perfbench`` replays a query's worlds with counting wrappers set on
 these module attributes; a refactor that renames one, or stops calling it
-through the module, silently zeroes that layer's metrics.
+through the module, silently zeroes that layer's metrics. Its replayed
+top-k is compared with the query's, so the query's tie order is part of
+the contract too.
 """
 import numpy as np
 import pytest
 
+from repro.core.mpds import topk_mpds
+from repro.core.uncertain import UncertainGraph
 from repro.graphs import alldense
 
 WRAPPED = ("charikar_peel", "k_core_nodes", "instance_peel", "instance_core",
@@ -44,3 +48,16 @@ def test_all_densest_reaches_wrapped_entry_points(monkeypatch, notion):
     assert res.subgraphs
     assert {name for name, c in calls.items() if c} == REACHED[notion]
     assert listed == LISTED[notion]
+
+
+def test_topk_ties_keep_comma_joined_order(spark):
+    """Tied τ̂ are ordered by the comma-joined node string, the order
+    perfbench's replayed top-k and ``exact_topk_mpds`` use; a numeric
+    array sort would put {2,3} first."""
+    ug = UncertainGraph.from_edges([(2, 3), (10, 11)], [1.0, 1.0], n=12)
+    res = topk_mpds(spark, ug, k=3, theta=8, seed=0)
+    assert res.top == [
+        (frozenset({10, 11}), 1.0),
+        (frozenset({2, 3}), 1.0),
+        (frozenset({2, 3, 10, 11}), 1.0),
+    ]
