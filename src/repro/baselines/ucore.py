@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
-from .poisbin import distribution, peel
+from .poisbin import peel
 
 
 def eta_core_numbers(ug: UncertainGraph, eta: float = 0.1) -> np.ndarray:
@@ -21,12 +21,26 @@ def eta_core_numbers(ug: UncertainGraph, eta: float = 0.1) -> np.ndarray:
     A removed node takes its edge's Bernoulli out of each live
     neighbor's degree distribution (``poisbin.peel``).
     """
-    adj: list[dict[int, float]] = [dict() for _ in range(ug.n)]
-    for (u, v), p in zip(ug.edges, ug.probs):
-        adj[int(u)][int(v)] = adj[int(v)][int(u)] = float(p)
-    dists = [distribution(a.values()) for a in adj]
-    # Pr[deg ≥ 0] = 1, so an η-degree is never below 0 but for rounding.
-    return np.maximum(peel(dists, [1.0] * ug.n, eta, lambda v: adj[v].items()), 0)
+    # Each node's incident edges, ordered by neighbour id.
+    node = np.concatenate([ug.edges[:, 0], ug.edges[:, 1]])
+    nbr = np.concatenate([ug.edges[:, 1], ug.edges[:, 0]])
+    order = np.lexsort((nbr, node))
+    nbr, probs = nbr[order], np.concatenate([ug.probs, ug.probs])[order]
+    indptr = np.searchsorted(node[order], np.arange(ug.n + 1))
+    adj = [
+        list(zip(nbr[a:b].tolist(), probs[a:b].tolist()))
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+    alive = [True] * ug.n
+
+    def lost(v: int):
+        alive[v] = False
+        return adj[v]
+
+    def live(v: int):
+        return (p for w, p in adj[v] if alive[w])
+
+    return peel(indptr, probs, np.ones(ug.n), eta, lost, live)
 
 
 def innermost_eta_core(ug: UncertainGraph, eta: float = 0.1) -> frozenset[int]:

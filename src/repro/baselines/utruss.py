@@ -9,8 +9,31 @@ minimum γ-support (k = support + 2) yields truss numbers; the innermost
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.uncertain import UncertainGraph
-from .poisbin import distribution, peel
+from .poisbin import peel
+
+
+def _triangles(edges: np.ndarray, n: int) -> np.ndarray:
+    """Every triangle u < v < w as the edge ids ``(uv, uw, vw)``.
+
+    ``edges`` is canonical, so rows ``indptr[u]:indptr[u+1]`` are u's
+    higher neighbours, sorted. Each pair v < w of them is a triangle
+    when (v, w) is an edge, found by ``np.searchsorted`` on the sorted
+    keys ``u*n + v``.
+    """
+    m = len(edges)
+    indptr = np.searchsorted(edges[:, 0], np.arange(n + 1))
+    later = indptr[edges[:, 0] + 1] - np.arange(m) - 1  # rows after uv in u's run
+    uv = np.repeat(np.arange(m), later)
+    run = np.cumsum(later) - later
+    uw = uv + 1 + np.arange(len(uv)) - np.repeat(run, later)
+    keys = edges[:, 0] * n + edges[:, 1]
+    want = edges[uv, 1] * n + edges[uw, 1]
+    vw = np.minimum(np.searchsorted(keys, want), m - 1)
+    hit = keys[vw] == want
+    return np.stack([uv[hit], uw[hit], vw[hit]], axis=1)
 
 
 def gamma_truss_numbers(
@@ -22,27 +45,34 @@ def gamma_truss_numbers(
     A removed edge e=(u,v) takes the Bernoulli p(e)·p(v,w) out of (u,w)
     and p(e)·p(u,w) out of (v,w), for each live triangle (u,v,w).
     """
-    edges = [(int(u), int(v)) for u, v in ug.edges]
-    probs = [float(p) for p in ug.probs]
-    adj: list[dict[int, int]] = [dict() for _ in range(ug.n)]  # neighbor → edge id
-    for i, (u, v) in enumerate(edges):
-        adj[u][v] = adj[v][u] = i
-    dists = [
-        distribution(
-            probs[adj[u][w]] * probs[adj[v][w]] for w in set(adj[u]) & set(adj[v])
-        )
-        for u, v in edges
-    ]
+    m = len(ug.edges)
+    tri = _triangles(ug.edges, ug.n)
+    # Each edge's triangles as the ids of their two other edges.
+    item = tri.ravel()
+    other = tri[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
+    order = np.argsort(item, kind="stable")
+    item, other = item[order], other[order]
+    indptr = np.searchsorted(item, np.arange(m + 1))
+    probs = ug.probs[other[:, 0]] * ug.probs[other[:, 1]]
+    pairs: list[list] = [[] for _ in range(m)]
+    for i in np.flatnonzero(np.diff(indptr)).tolist():
+        pairs[i] = other[indptr[i] : indptr[i + 1]].tolist()
+    p = ug.probs.tolist()
+    alive = [True] * m
 
     def lost(i: int):
-        u, v = edges[i]
-        del adj[u][v], adj[v][u]
-        for w in set(adj[u]) & set(adj[v]):
-            yield adj[u][w], probs[i] * probs[adj[v][w]]
-            yield adj[v][w], probs[i] * probs[adj[u][w]]
+        alive[i] = False
+        for a, b in pairs[i]:
+            if alive[a] and alive[b]:
+                yield a, p[i] * p[b]
+                yield b, p[i] * p[a]
 
-    support = peel(dists, probs, gamma, lost)
-    return {e: int(s) + 2 for e, s in zip(edges, support)}
+    def live(i: int):
+        return (p[a] * p[b] for a, b in pairs[i] if alive[a] and alive[b])
+
+    support = peel(indptr, probs, ug.probs, gamma, lost, live)
+    edges = zip(ug.edges[:, 0].tolist(), ug.edges[:, 1].tolist())
+    return dict(zip(edges, (support + 2).tolist()))
 
 
 def innermost_gamma_truss(

@@ -12,21 +12,22 @@ from repro.baselines import (
     innermost_gamma_truss,
 )
 from repro import datasets
-from repro.baselines.poisbin import deconvolve, distribution, tail_index
+from repro.baselines import poisbin
+from repro.baselines.poisbin import deconvolve, distribution, distributions, tail_index
 from repro.baselines.ucore import eta_core_numbers
 from repro.baselines.utruss import gamma_truss_numbers
 from repro.core.estimate import expected_density
 from repro.core.uncertain import UncertainGraph
 
 
-def random_ug(seed, n=7, p_edge=0.6):
+def random_ug(seed, n=7, p_edge=0.6, p_range=(0.1, 0.95)):
     g = np.random.default_rng(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if g.random() < p_edge
     ]
     if not edges:
         edges = [(0, 1)]
-    probs = g.uniform(0.1, 0.95, len(edges))
+    probs = g.uniform(*p_range, len(edges))
     return UncertainGraph.from_edges(edges, probs, n=n)
 
 
@@ -134,11 +135,96 @@ def test_eta_degree_edge_cases():
     assert tail_index(distribution([0.05]), 0.5) == 0
 
 
+def full_deconvolve(dist, p):
+    """Reference: one Bernoulli(p) out of a whole distribution, by the
+    stable recurrence direction (divide by max(p, 1-p) ≥ 0.5), clipped
+    to [0, 1] and renormalised."""
+    L = len(dist) - 1
+    rest = np.empty(L)
+    acc = 0.0
+    if p <= 0.5:
+        for k in range(L):
+            acc = (dist[k] - acc * p) / (1.0 - p)
+            rest[k] = acc
+            acc = max(acc, 0.0)
+    else:
+        for k in range(L - 1, -1, -1):
+            acc = (dist[k + 1] - acc * (1.0 - p)) / p
+            rest[k] = acc
+            acc = max(acc, 0.0)
+    np.clip(rest, 0.0, 1.0, out=rest)
+    return rest / rest.sum()
+
+
+# p ≤ 0.5 runs the forward recurrence on the prefix, p > 0.5 rebuilds it
+# from the remaining Bernoullis.
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 1.0])
 def test_deconvolve_undoes_one_convolution(p):
-    rest = distribution(np.random.default_rng(0).uniform(0.05, 0.95, 6))
+    rest_probs = np.random.default_rng(0).uniform(0.05, 0.95, 6)
+    rest = distribution(rest_probs)
     both = np.convolve(rest, [1 - p, p])
-    np.testing.assert_allclose(deconvolve(both, p), rest, atol=1e-12)
+    for k in range(len(both)):
+        got = deconvolve(both[:k].tolist(), p, iter(rest_probs))
+        np.testing.assert_allclose(got, rest[:k], atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.2, 0.5, 0.51, 0.8, 0.99])
+@pytest.mark.parametrize("seed", range(4))
+def test_deconvolve_prefix_matches_full_deconvolution(seed, p):
+    rest_probs = np.random.default_rng(seed).uniform(0.01, 0.99, 9)
+    both = distribution([*rest_probs, p])
+    full = full_deconvolve(both, p)
+    for k in range(len(both)):
+        got = deconvolve(both[:k].tolist(), p, iter(rest_probs))
+        assert len(got) == k
+        np.testing.assert_allclose(got, full[:k], rtol=0, atol=1e-12)
+
+
+def test_deconvolve_reads_rest_only_to_rebuild():
+    def rest():
+        raise AssertionError("forward recurrence read the remaining Bernoullis")
+        yield
+
+    assert deconvolve([0.25, 0.5], 0.5, rest()) == [0.5, 0.5]
+    assert deconvolve([], 0.9, iter([0.3])) == []
+
+
+def test_distributions_rows_match_one_item_dp():
+    g = np.random.default_rng(1)
+    counts = [3, 0, 7, 1, 7, 2]
+    probs = g.uniform(0.01, 1.0, sum(counts))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    dists = distributions(indptr, probs)
+    assert dists.shape == (len(counts), max(counts) + 1)
+    for i, c in enumerate(counts):
+        dist = np.array([1.0])  # the per-item DP, in the same arithmetic
+        for p in probs[indptr[i] : indptr[i + 1]]:
+            nxt = np.zeros(len(dist) + 1)
+            nxt[: len(dist)] += dist * (1 - p)
+            nxt[1:] += dist * p
+            dist = nxt
+        assert dists[i, : c + 1].tolist() == dist.tolist()
+        assert not dists[i, c + 1 :].any()
+
+
+def test_tail_index_zero_is_exact():
+    # This distribution sums to 0.9999999999999999; Pr[X ≥ 0] must
+    # still be 1, so scale == threshold gives index 0, not −1.
+    a = 0.12222222222222223
+    dist = distribution([a * 0.1, a * 0.1])
+    assert dist.sum() < 1.0
+    assert tail_index(dist, 0.1, scale=0.1) == 0
+    assert tail_index([], 0.1, scale=0.1) == 0
+
+
+def test_truss_number_of_edge_at_threshold():
+    # Edge (0,1) exists with probability 0.1 = γ, so its support is ≥ 0
+    # and its truss number ≥ 2; summing its two triangles' distribution
+    # to 0.9999999999999999 once gave it support −1 (truss number 1).
+    a = 0.12222222222222223
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    ug = UncertainGraph.from_edges(edges, [0.1, a, 0.1, a, 0.1], n=4)
+    assert gamma_truss_numbers(ug, 0.1) == {e: 2 for e in edges}
 
 
 def test_tail_index_below_scale():
@@ -264,6 +350,14 @@ ORACLE_GRAPHS = [
     pytest.param(lambda s=seed: random_ug(s, n=12, p_edge=0.5), id=f"random-{seed}")
     for seed in range(6)
 ] + [
+    # Every edge and every triangle product above 0.5: each removal
+    # rebuilds the prefix rather than deconvolving it forward.
+    pytest.param(
+        lambda s=seed: random_ug(s, n=11, p_edge=0.85, p_range=(0.75, 1.0)),
+        id=f"dense-{seed}",
+    )
+    for seed in range(4)
+] + [
     pytest.param(datasets.karate_club, id="karate"),
     pytest.param(datasets.intel_lab, id="intel"),
 ]
@@ -275,3 +369,40 @@ def test_peel_numbers_match_rebuild_oracle(graph, threshold):
     ug = graph()
     assert eta_core_numbers(ug, threshold).tolist() == oracle_eta_core(ug, threshold)
     assert gamma_truss_numbers(ug, threshold) == oracle_gamma_truss(ug, threshold)
+
+
+@pytest.mark.parametrize("graph", [g for g in ORACLE_GRAPHS if g.id != "intel"])
+def test_no_index_rises_during_peel(graph, monkeypatch):
+    """Each item's index only falls: the first index, then every index
+    the peel pushes for it, is strictly decreasing."""
+    seen = {}
+    first_indices = poisbin._first_indices
+
+    def record_first(*args):
+        index, prefix = first_indices(*args)
+        seen.clear()
+        seen.update({i: [k] for i, k in enumerate(index.tolist())})
+        return index, prefix
+
+    def record_push(heap, item):
+        seen[item[1]].append(item[0])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(poisbin, "_first_indices", record_first)
+    monkeypatch.setattr(
+        poisbin, "heapq",
+        type("recorded", (), {
+            "heappush": staticmethod(record_push),
+            "heappop": staticmethod(heapq.heappop),
+            "heapify": staticmethod(heapq.heapify),
+        }),
+    )
+    ug = graph()
+    falls = 0
+    for threshold in (0.1, 0.5, 0.9):
+        for numbers in (eta_core_numbers, gamma_truss_numbers):
+            numbers(ug, threshold)
+            for ks in seen.values():
+                assert all(a > b for a, b in zip(ks, ks[1:])), ks
+                falls += len(ks) - 1
+    assert falls > 0
