@@ -12,28 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.uncertain import UncertainGraph
+from ..graphs.cliques import triangles
 from .poisbin import peel
-
-
-def _triangles(edges: np.ndarray, n: int) -> np.ndarray:
-    """Every triangle u < v < w as the edge ids ``(uv, uw, vw)``.
-
-    ``edges`` is canonical, so rows ``indptr[u]:indptr[u+1]`` are u's
-    higher neighbours, sorted. Each pair v < w of them is a triangle
-    when (v, w) is an edge, found by ``np.searchsorted`` on the sorted
-    keys ``u*n + v``.
-    """
-    m = len(edges)
-    indptr = np.searchsorted(edges[:, 0], np.arange(n + 1))
-    later = indptr[edges[:, 0] + 1] - np.arange(m) - 1  # rows after uv in u's run
-    uv = np.repeat(np.arange(m), later)
-    run = np.cumsum(later) - later
-    uw = uv + 1 + np.arange(len(uv)) - np.repeat(run, later)
-    keys = edges[:, 0] * n + edges[:, 1]
-    want = edges[uv, 1] * n + edges[uw, 1]
-    vw = np.minimum(np.searchsorted(keys, want), m - 1)
-    hit = keys[vw] == want
-    return np.stack([uv[hit], uw[hit], vw[hit]], axis=1)
 
 
 def gamma_truss_numbers(
@@ -46,7 +26,7 @@ def gamma_truss_numbers(
     and p(e)·p(u,w) out of (v,w), for each live triangle (u,v,w).
     """
     m = len(ug.edges)
-    tri = _triangles(ug.edges, ug.n)
+    tri = triangles(ug.edges, ug.n)
     # Each edge's triangles as the ids of their two other edges.
     item = tri.ravel()
     other = tri[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)

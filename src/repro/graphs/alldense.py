@@ -4,16 +4,18 @@ Every density notion runs one pipeline over node-tuple instances.
 ``instances`` is the one place that turns a notion into its instances:
 the canonical edge array for edge density, the h-cliques for h-clique
 density (Algorithm 2), the ψ-instances for pattern density
-(Algorithm 4). ``instance_search`` is the one prune and search over
-them: the batched peel's ρ̃, the ⌈ρ̃⌉-core (Algorithm 1, line 5), then
-Dinkelbach's search on ``instance_network`` — Goldberg's edge network
-for width 2, Algorithm 7's grouped-instance network for wider ones (an
-h-clique is the pattern K_h). With integer instance weights it also
-finds the expected densest subgraph (``baselines/eds.py``). All densest
-subgraphs come from the residual at α = ρ* (Chang & Qiao, WWW'20): SCC
-condensation, then every *independent component set* (antichain of
-non-trivial SCCs intersecting V) maps bijectively to a densest subgraph
-via C ∪ des(C) (Algorithm 3).
+(Algorithm 4), each an int64 array listed from that edge array's
+sorted runs (``cliques.py``, ``patterns.py``). ``instance_search`` is
+the one prune and search over them: the batched peel's ρ̃, the
+⌈ρ̃⌉-core (Algorithm 1, line 5), then Dinkelbach's search on
+``instance_network`` — Goldberg's edge network for width 2, Algorithm
+7's grouped-instance network for wider ones, grouped by ``np.unique``
+on the row-sorted instances (an h-clique is the pattern K_h). With
+integer instance weights it also finds the expected densest subgraph
+(``baselines/eds.py``). All densest subgraphs come from the residual at
+α = ρ* (Chang & Qiao, WWW'20): SCC condensation, then every
+*independent component set* (antichain of non-trivial SCCs intersecting
+V) maps bijectively to a densest subgraph via C ∪ des(C) (Algorithm 3).
 
 Per-world convention (matches the paper's Table I accounting): a world
 with no edge / no h-clique / no ψ-instance has maximum density 0 and
@@ -43,7 +45,7 @@ from .goldberg import (
     goldberg_search,
 )
 from .graph import canonical_edges, relabel
-from .patterns import PATTERNS, enumerate_instances, group_instances
+from .patterns import enumerate_instances
 from .peeling import charikar_peel, inside, k_core_nodes
 from .peeling import instance_peel  # noqa: F401  (see instance_core)
 from .scc import condensation, descendants_bitsets, tarjan_scc
@@ -77,12 +79,8 @@ def instances(edges: np.ndarray, n: int, notion: str) -> np.ndarray:
     if notion == "edge":
         return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if notion.startswith("clique:"):
-        h = int(notion.split(":")[1])
-        found = list_cliques(edges, n, h)
-    else:
-        found = enumerate_instances(edges, n, notion)
-        h = PATTERNS[notion].n_nodes
-    return np.array(found, dtype=np.int64).reshape(-1, h)
+        return list_cliques(edges, n, int(notion.split(":")[1]))
+    return enumerate_instances(edges, n, notion)
 
 
 def _enumerate_from_residual(
@@ -169,6 +167,21 @@ def _mask(n: int, nodes) -> np.ndarray:
     return member
 
 
+def instance_groups(
+    insts: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Instances grouped by node set (Algorithm 7, Line 5).
+
+    Returns ``(groups, group_weights)``: each distinct node set once as
+    a sorted row, in lexicographic order, and the sum of its instances'
+    integer ``weights`` (its instance count |g| for unit weights).
+    """
+    groups, inv = np.unique(np.sort(insts, axis=1), axis=0, return_inverse=True)
+    group_weights = np.zeros(len(groups), dtype=np.int64)
+    np.add.at(group_weights, inv.reshape(-1), weights)
+    return groups, group_weights
+
+
 def instance_network(
     insts: np.ndarray, n: int, weights: np.ndarray | None = None
 ) -> tuple[Builder, Callable[[set[int]], Fraction]]:
@@ -186,9 +199,10 @@ def instance_network(
 
     if arr.shape[1] == 2:
         return (lambda alpha: build_edge_network(arr, n, alpha, w)), density_of
-    groups = group_instances(arr.tolist(), w.tolist())
-    width = arr.shape[1]
-    return (lambda alpha: build_pattern_network(n, groups, width, alpha)), density_of
+    groups, group_weights = instance_groups(arr, w)
+    return (
+        lambda alpha: build_pattern_network(n, groups, group_weights, alpha)
+    ), density_of
 
 
 def instance_search(

@@ -1,79 +1,95 @@
-"""h-clique listing (kClist-style, degeneracy ordering).
+"""Instance listing over the canonical edge array: triangles and h-cliques.
 
 The h-cliques are the instances of h-clique density (Algorithm 2): they
 drive the (k, h)-core prune and, as the pattern K_h, the grouped flow
-network of Algorithm 7.
+network of Algorithm 7. The pattern instances of ``patterns.py`` are
+built from the same pieces.
+
+Everything here reads a sorted array as runs of equal keys. The
+canonical edge array (u < v, lexsorted) is the run of each u's higher
+neighbours, and ``neighbours`` gives the run of each node's neighbours.
+The one primitive is ``later_in_run``: every position after a given one
+inside its run, by ``np.repeat`` and a ``cumsum`` of run lengths. Pairs
+within a run, then one closing edge found by ``np.searchsorted`` on the
+sorted keys ``u*n + v``, give every triangle; each further clique node
+is a higher neighbour of the last one, adjacent to all the others.
+Rows come out sorted within and lexicographic between them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import degrees
+
+def spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row id r repeated ``counts[r]`` times, beside each copy's rank
+    ``0..counts[r]-1``."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return rows, np.arange(len(rows)) - first[rows]
 
 
-def degeneracy_order(edges: np.ndarray, n: int) -> np.ndarray:
-    """Peel order (min-degree first); position[v] gives v's rank."""
-    import heapq
+def later_in_run(pos: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(r, q)`` with ``pos[r] < q < end[pos[r]]``.
 
-    deg = degrees(edges, n)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    heap = [(int(deg[v]), int(v)) for v in range(n)]
-    heapq.heapify(heap)
-    removed = np.zeros(n, dtype=bool)
-    cur = deg.copy()
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != cur[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in adj[v]:
-            if not removed[w]:
-                cur[w] -= 1
-                heapq.heappush(heap, (int(cur[w]), int(w)))
-    return np.array(order, dtype=np.int64)
+    ``end[i]`` is one past the last position of the run holding position
+    i, so q runs over the positions after ``pos[r]`` in its run, in
+    order. With ``pos = arange(len(end))`` this is every pair i < j
+    inside a run.
+    """
+    rows, rank = spread(end[pos] - pos - 1)
+    return rows, pos[rows] + 1 + rank
 
 
-def list_cliques(edges: np.ndarray, n: int, h: int) -> list[tuple[int, ...]]:
-    """All h-cliques as sorted node tuples. h >= 2; h=2 returns edges.
+def neighbours(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, nbr)``: node v's neighbours, ascending, are
+    ``nbr[indptr[v]:indptr[v+1]]``."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order]
 
-    kClist-style: orient edges along the degeneracy order and extend
-    candidate sets by intersection, so work is bounded by the degeneracy.
+
+def _find(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each wanted key in the sorted ``keys``, and whether it
+    is there."""
+    at = np.minimum(np.searchsorted(keys, want), max(len(keys) - 1, 0))
+    return at, keys[at] == want
+
+
+def triangles(edges: np.ndarray, n: int) -> np.ndarray:
+    """Every triangle u < v < w as the edge ids ``(uv, uw, vw)``.
+
+    Each pair v < w of u's higher neighbours (a pair within u's run of
+    the canonical edges) is a triangle when (v, w) is an edge.
+    """
+    end = np.searchsorted(edges[:, 0], edges[:, 0], side="right")
+    uv, uw = later_in_run(np.arange(len(edges)), end)
+    keys = edges[:, 0] * n + edges[:, 1]
+    vw, hit = _find(keys, edges[uv, 1] * n + edges[uw, 1])
+    return np.stack([uv[hit], uw[hit], vw[hit]], axis=1)
+
+
+def list_cliques(edges: np.ndarray, n: int, h: int) -> np.ndarray:
+    """All h-cliques as a ``(count, h)`` int64 array of ascending rows, in
+    lexicographic order. h >= 2; h = 2 gives ``edges`` itself.
+
+    ``edges`` is canonical on ids ``0..n-1``.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
-    if edges.size == 0:
-        return []
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if h == 2:
-        return [tuple(sorted((int(u), int(v)))) for u, v in edges]
-    order = degeneracy_order(edges, n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    fwd: list[list[int]] = [[] for _ in range(n)]  # neighbors later in order
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if rank[u] < rank[v]:
-            fwd[u].append(v)
-        else:
-            fwd[v].append(u)
-    fwd_sets = [set(f) for f in fwd]
-    out: list[tuple[int, ...]] = []
-
-    def extend(base: list[int], cand: list[int]) -> None:
-        if len(base) == h:
-            out.append(tuple(sorted(base)))
-            return
-        for i, v in enumerate(cand):
-            # cand is within the forward-neighborhood closure; adjacency
-            # between v, w must be checked in either orientation.
-            nxt = [w for w in cand[i + 1 :] if w in fwd_sets[v] or v in fwd_sets[w]]
-            extend(base + [v], nxt)
-
-    for u in range(n):
-        extend([u], fwd[u])
-    return out
-
+        return e
+    tri = triangles(e, n)
+    cl = np.column_stack([e[tri[:, 0]], e[tri[:, 1], 1]])
+    indptr = np.searchsorted(e[:, 0], np.arange(n + 1))
+    keys = e[:, 0] * n + e[:, 1]
+    for _ in range(3, h):
+        last = cl[:, -1]
+        rows, rank = spread(indptr[last + 1] - indptr[last])
+        x = e[indptr[last[rows]] + rank, 1]
+        ok = np.ones(len(rows), dtype=bool)
+        for j in range(cl.shape[1] - 1):
+            ok &= _find(keys, cl[rows, j] * n + x)[1]
+        cl = np.column_stack([cl[rows[ok]], x[ok]])
+    return cl

@@ -64,25 +64,21 @@ def build_edge_network(
 
 
 def build_pattern_network(
-    n: int,
-    groups: dict[frozenset[int], int],
-    pattern_size: int,
-    alpha: Fraction,
+    n: int, groups: np.ndarray, weights: np.ndarray, alpha: Fraction
 ) -> Network:
     """Algorithm 7: flow network for h-clique or pattern density.
 
-    Instances are grouped by node set; ``groups`` maps each node set to
-    its instance count |g| (or, for EDS, its integer weight sum).
+    Instances are grouped by node set: ``groups`` holds each node set as
+    a sorted row of |V_ψ| nodes, and ``weights`` its instance count |g|
+    (or, for EDS, its integer weight sum).
     Nodes: s, t, one per graph node, one per instance group λ'.
     s→v: deg(v,ψ)·b; v→t: |V_ψ|·a; v'→λ': |g|·b; λ'→v': |g|(|V_ψ|−1)·b.
     """
     a, b = alpha.numerator, alpha.denominator
+    pattern_size = groups.shape[1]
     deg = np.zeros(n, dtype=np.int64)
-    for nodeset, cnt in groups.items():
-        for v in nodeset:
-            deg[v] += cnt
-    keys = sorted(groups, key=sorted)
-    net = FlowNetwork(2 + n + len(keys))
+    np.add.at(deg, groups.ravel(), np.repeat(weights, pattern_size))
+    net = FlowNetwork(2 + n + len(groups))
     s, t = 0, 1
     vid = [2 + v for v in range(n)]
     total = 0
@@ -91,10 +87,9 @@ def build_pattern_network(
             net.add_edge(s, vid[v], int(deg[v]) * b)
             total += int(deg[v]) * b
         net.add_edge(vid[v], t, pattern_size * a)
-    for i, nodeset in enumerate(keys):
+    for i, (nodes, g) in enumerate(zip(groups.tolist(), weights.tolist())):
         li = 2 + n + i
-        g = groups[nodeset]
-        for v in nodeset:
+        for v in nodes:
             net.add_edge(vid[v], li, g * b)
             net.add_edge(li, vid[v], g * (pattern_size - 1) * b)
     return net, s, t, vid, total

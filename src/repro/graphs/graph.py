@@ -56,24 +56,6 @@ def relabel(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv.reshape(e.shape).astype(np.int64, copy=False), ids
 
 
-def degrees(edges: np.ndarray, n: int) -> np.ndarray:
-    """Degree vector for compact node ids ``0..n-1``."""
-    deg = np.zeros(n, dtype=np.int64)
-    if edges.size:
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
-    return deg
-
-
-def adjacency_sets(edges: np.ndarray, n: int) -> list[set[int]]:
-    """Neighbor sets per compact node (for membership tests)."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(int(v))
-        adj[v].add(int(u))
-    return adj
-
-
 def induced_edge_count(edges: np.ndarray, node_set: set[int] | frozenset[int]) -> int:
     """Number of edges with both endpoints in ``node_set``."""
     cnt = 0

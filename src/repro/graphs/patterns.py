@@ -1,4 +1,4 @@
-"""Pattern definitions and ψ-instance enumeration (Fig. 5 patterns).
+"""Pattern definitions and ψ-instance listing (Fig. 5 patterns).
 
 Patterns (documented in DESIGN.md §5 — the paper's figure is not
 formally specified):
@@ -12,6 +12,9 @@ Instances are non-induced embeddings modulo pattern automorphisms; an
 instance is a node tuple. μ_ψ(G) = number of instances; deg(v, ψ) =
 number of instances containing v. Distinct instances may share a node
 set — Algorithm 7's flow network groups them by node set.
+
+``enumerate_instances`` lists them as arrays from the sorted runs of
+``cliques.py``.
 
 This module is the one place that knows which node pairs of an
 instance are edges: ``instance_pairs`` gives them as column pairs of
@@ -29,12 +32,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import adjacency_sets
+from .cliques import later_in_run, neighbours, spread, triangles
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """A pattern ψ = (V_ψ, E_ψ) with a specialized instance enumerator."""
+    """A pattern ψ = (V_ψ, E_ψ)."""
 
     name: str
     n_nodes: int  # |V_ψ|
@@ -53,52 +56,53 @@ PATTERNS = {
 }
 
 
-def _triangles(adj: list[set[int]], n: int) -> list[tuple[int, int, int]]:
-    tris = []
-    for u in range(n):
-        for v in adj[u]:
-            if v <= u:
-                continue
-            for w in adj[u] & adj[v]:
-                if w > v:
-                    tris.append((u, v, w))
-    return tris
-
-
 def enumerate_instances(
     edges: np.ndarray, n: int, pattern: str | Pattern
-) -> list[tuple[int, ...]]:
-    """All instances of ``pattern`` as node tuples (see module docstring)."""
+) -> np.ndarray:
+    """All instances of ``pattern`` as a ``(count, |V_ψ|)`` int64 array.
+
+    ``edges`` is canonical on ids ``0..n-1``. Columns follow each
+    pattern's tuple: 2-star ``(c, a, b)`` and 3-star ``(c, a, b, d)``
+    with leaves a < b < d, diamond ``(u, v, w, x)`` with hub edge u < v
+    and w < x, c3-star ``(centre, the two other triangle nodes sorted,
+    pendant)``.
+    """
     name = pattern.name if isinstance(pattern, Pattern) else pattern
     if name not in PATTERNS:
         raise ValueError(f"unknown pattern {name!r}")
-    if edges.size == 0:
-        return []
-    adj = adjacency_sets(edges, n)
-    out: list[tuple[int, ...]] = []
-    if name == "2-star":
-        for c in range(n):
-            for a, b in combinations(sorted(adj[c]), 2):
-                out.append((c, a, b))
-    elif name == "3-star":
-        for c in range(n):
-            if len(adj[c]) >= 3:
-                for a, b, d in combinations(sorted(adj[c]), 3):
-                    out.append((c, a, b, d))
-    elif name == "c3-star":
-        for u, v, w in _triangles(adj, n):
-            tri = {u, v, w}
-            for center in (u, v, w):
-                for pend in adj[center]:
-                    if pend not in tri:
-                        out.append((center, *sorted(tri - {center}), pend))
-    elif name == "diamond":
-        for e_u, e_v in edges:
-            u, v = int(e_u), int(e_v)
-            common = sorted(adj[u] & adj[v])
-            for w, x in combinations(common, 2):
-                out.append((u, v, w, x))
-    return out
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    indptr, nbr = neighbours(e, n)
+    if name in ("2-star", "3-star"):
+        # Leaves a < b (< d) after one another in the centre's run.
+        centre = np.repeat(np.arange(n), np.diff(indptr))
+        end = indptr[centre + 1]
+        a, b = later_in_run(np.arange(len(nbr)), end)
+        if name == "2-star":
+            return np.stack([centre[a], nbr[a], nbr[b]], axis=1)
+        r, d = later_in_run(b, end)
+        return np.stack([centre[a[r]], nbr[a[r]], nbr[b[r]], nbr[d]], axis=1)
+    tri = triangles(e, n)
+    nodes = np.column_stack([e[tri[:, 0]], e[tri[:, 1], 1]])
+    if name == "diamond":
+        # Two common neighbours w < x of the hub edge (u, v): a pair
+        # within that edge's run of triangle third nodes.
+        hub = tri.ravel()
+        third = nodes[:, ::-1].ravel()  # uv ↦ w, uw ↦ v, vw ↦ u
+        order = np.lexsort((third, hub))
+        hub, third = hub[order], third[order]
+        p, q = later_in_run(
+            np.arange(len(hub)), np.searchsorted(hub, hub, side="right")
+        )
+        return np.column_stack([e[hub[p]], third[p], third[q]])
+    # c3-star: each triangle node as the centre, with every neighbour of
+    # it outside the triangle as the pendant.
+    centre = nodes.ravel()
+    rest = nodes[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
+    r, k = spread(indptr[centre + 1] - indptr[centre])
+    pend = nbr[indptr[centre[r]] + k]
+    out = (pend != rest[r, 0]) & (pend != rest[r, 1])
+    r = r[out]
+    return np.column_stack([centre[r], rest[r], pend[out]])
 
 
 def instance_pairs(notion: str) -> tuple[tuple[int, int], ...]:
@@ -124,15 +128,3 @@ def instance_edge_ids(
     a, b = insts[:, cols[:, 0]], insts[:, cols[:, 1]]
     keys = np.minimum(a, b) * n + np.maximum(a, b)
     return np.searchsorted(edges[:, 0] * n + edges[:, 1], keys)
-
-
-def group_instances(
-    instances: list[tuple[int, ...]], weights: list[int] | None = None
-) -> dict[frozenset[int], int]:
-    """Group instances by node set → count |g| (Algorithm 7, Line 5), or
-    with integer ``weights`` (one per instance) the group's weight sum."""
-    groups: dict[frozenset[int], int] = {}
-    for i, inst in enumerate(instances):
-        key = frozenset(inst)
-        groups[key] = groups.get(key, 0) + (1 if weights is None else weights[i])
-    return groups

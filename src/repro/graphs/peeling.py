@@ -131,15 +131,16 @@ def instance_peel(
     removed up front (they can never be in a densest subgraph with
     positive density).
     """
-    rows = np.asarray(instances, dtype=np.int64).tolist()
-    inst_of: list[list[int]] = [[] for _ in range(n)]
-    for i, inst in enumerate(rows):
-        for v in inst:
-            inst_of[v].append(i)
-    deg = [len(of) for of in inst_of]
-    n_alive = sum(1 for d in deg if d > 0)
-    if not rows or n_alive == 0:
+    a = np.asarray(instances, dtype=np.int64)
+    if len(a) == 0:
         return [], [], []
+    # CSR incidence: node v's instance ids are inst_of[indptr[v]:indptr[v+1]].
+    flat = a.ravel()
+    deg = np.bincount(flat, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(deg)]).tolist()
+    inst_of = (np.argsort(flat, kind="stable") // a.shape[1]).tolist()
+    rows, deg = a.tolist(), deg.tolist()
+    n_alive = sum(1 for d in deg if d > 0)
     inst_alive = [True] * len(rows)
     total = len(rows)
     heap = [(d, v) for v, d in enumerate(deg) if d > 0]
@@ -156,7 +157,7 @@ def instance_peel(
         removal_order.append(v)
         pop_degrees.append(d)
         n_alive -= 1
-        for i in inst_of[v]:
+        for i in inst_of[indptr[v] : indptr[v + 1]]:
             if inst_alive[i]:
                 inst_alive[i] = False
                 total -= 1

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.graphs.alldense import instance_groups
 from repro.graphs.bruteforce import brute_all_densest
 from repro.graphs.cliques import list_cliques
 from repro.graphs.goldberg import (
@@ -14,7 +15,7 @@ from repro.graphs.goldberg import (
     goldberg_search,
 )
 from repro.graphs.graph import canonical_edges, induced_edge_count
-from repro.graphs.patterns import enumerate_instances, group_instances
+from repro.graphs.patterns import enumerate_instances
 from repro.graphs.peeling import charikar_peel
 
 
@@ -77,17 +78,19 @@ def test_edge_density_search_matches_brute(seed, max_weight):
 def test_clique_density_search_matches_brute(seed):
     e, n = random_graph(seed, p=0.7)
     cl = list_cliques(e, n, 3)
-    if not cl:
+    if not len(cl):
         pytest.skip("no triangle")
     rho_b, _ = brute_all_densest(e, "clique:3")
-    groups = group_instances(cl)  # one triangle per node set
-    lo, witness = charikar_peel(np.array(cl), n)
+    groups, counts = instance_groups(cl, np.ones(len(cl), dtype=np.int64))
+    lo, witness = charikar_peel(cl, n)
 
     def density_of(S):
-        return Fraction(sum(1 for c in cl if all(v in S for v in c)), len(S))
+        return Fraction(
+            sum(1 for c in cl.tolist() if all(v in S for v in c)), len(S)
+        )
 
     rho = certified_search(
-        lambda a: build_pattern_network(n, groups, 3, a), n, lo, witness,
+        lambda a: build_pattern_network(n, groups, counts, a), n, lo, witness,
         density_of,
     )
     assert rho == rho_b
@@ -98,20 +101,19 @@ def test_clique_density_search_matches_brute(seed):
 def test_pattern_density_search_matches_brute(seed, name):
     e, n = random_graph(seed, p=0.65)
     insts = enumerate_instances(e, n, name)
-    if not insts:
+    if not len(insts):
         pytest.skip("no instance")
     rho_b, _ = brute_all_densest(e, name)
-    groups = group_instances(insts)
-    lo, witness = charikar_peel(np.array(insts), n)
-    psz = 3 if name == "2-star" else 4
+    groups, counts = instance_groups(insts, np.ones(len(insts), dtype=np.int64))
+    lo, witness = charikar_peel(insts, n)
 
     def density_of(S):
         return Fraction(
-            sum(1 for c in insts if all(v in S for v in c)), len(S)
+            sum(1 for c in insts.tolist() if all(v in S for v in c)), len(S)
         )
 
     rho = certified_search(
-        lambda a: build_pattern_network(n, groups, psz, a), n, lo, witness,
+        lambda a: build_pattern_network(n, groups, counts, a), n, lo, witness,
         density_of,
     )
     assert rho == rho_b

@@ -2,14 +2,13 @@
 import numpy as np
 import pytest
 
-from repro.graphs.graph import (
-    adjacency_sets,
-    canonical_edges,
-    degrees,
-    induced_edge_count,
-    nodes_of,
-    relabel,
-)
+from repro.graphs.graph import canonical_edges, induced_edge_count, nodes_of, relabel
+from repro.graphs.peeling import _degrees
+
+
+def degrees(edges, n):
+    """Graph degrees: the instance degrees of the edge notion."""
+    return _degrees(edges, n, None)
 
 
 def test_canonical_orders_and_dedups():
@@ -126,12 +125,6 @@ def test_degrees_triangle():
 def test_degrees_isolated_node():
     e = np.array([[0, 1]])
     assert degrees(e, 4).tolist() == [1, 1, 0, 0]
-
-
-def test_adjacency_sets():
-    e = np.array([[0, 2], [0, 1]])
-    adj = adjacency_sets(e, 3)
-    assert adj[0] == {1, 2} and adj[1] == {0} and adj[2] == {0}
 
 
 def test_induced_edge_count():
